@@ -1,20 +1,19 @@
-"""Batched array-native candidate scoring vs one-by-one object scoring.
+"""Batched array-native candidate scoring vs one-by-one full re-simulation.
 
 The search-scheduler bench times whole searches; this module isolates the
-ISSUE 8 kernel itself: scoring one fixed candidate *population* (a BA seed
-plus deterministic mutations, the shape a genetic generation or annealing
-neighborhood produces) through
+evaluation kernel itself: scoring one fixed candidate *population* (a BA
+seed plus deterministic mutations, the shape a genetic generation or
+annealing neighborhood produces) through
 
 - ``batch_array``: one :meth:`repro.core.batch.BatchMappingEvaluator.evaluate_batch`
   call — candidates sorted into prefix-trie order, whole batch forked from
   shared column checkpoints, and
-- ``object_sequential``: the PR 5
-  :class:`repro.core.incremental.IncrementalMappingEvaluator`, one
-  ``evaluate`` per candidate in caller order.
+- ``full_sequential``: the retained reference, one
+  :func:`repro.core.mapping.simulate_mapping` per candidate in caller order.
 
 Both paths must produce the **bit-identical score list** — asserted here
 per element and digested into ``scores_checksum``.  A fresh evaluator is
-built per timed round so neither path ever serves a score from its
+built per timed round so the batch path never serves a score from its
 identical-candidate cache.
 
 The session writes ``BENCH_batch_eval.json`` to the working directory; CI
@@ -43,7 +42,7 @@ import pytest
 
 from repro.core.ba import BAScheduler
 from repro.core.batch import BatchMappingEvaluator
-from repro.core.incremental import IncrementalMappingEvaluator
+from repro.core.mapping import simulate_mapping
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import paper_workload
 
@@ -51,7 +50,7 @@ from repro.experiments.workloads import paper_workload
 POPULATION = 64
 #: timed rounds per path; the report keeps the fastest (min-of-N)
 ROUNDS = 5
-#: CI gate: the batch kernel must stay comfortably ahead of the object path
+#: CI gate: the batch kernel must stay comfortably ahead of full re-simulation
 SPEEDUP_FLOOR = 1.2
 #: CI gate (compiled job only): AOT kernel vs pure-Python reference kernel
 COMPILED_SPEEDUP_FLOOR = 3.0
@@ -99,13 +98,12 @@ def _time_batch_array(graph, net, candidates, kernel="python") -> tuple[float, l
     return best, scores
 
 
-def _time_object_sequential(graph, net, candidates) -> tuple[float, list[float]]:
+def _time_full_sequential(graph, net, candidates) -> tuple[float, list[float]]:
     best = float("inf")
     scores: list[float] = []
     for _ in range(ROUNDS):
-        evaluator = IncrementalMappingEvaluator(graph, net)
         t0 = perf_counter()
-        scores = [evaluator.evaluate(c) for c in candidates]
+        scores = [simulate_mapping(graph, net, c).makespan for c in candidates]
         best = min(best, perf_counter() - t0)
     return best, scores
 
@@ -124,13 +122,13 @@ def makespan_checksum(report: dict[str, dict]) -> str:
 def test_batch_eval_speedup(workload, population):
     graph, net = workload.graph, workload.net
     array_wall, array_scores = _time_batch_array(graph, net, population)
-    object_wall, object_scores = _time_object_sequential(graph, net, population)
+    full_wall, full_scores = _time_full_sequential(graph, net, population)
 
     # The core claim: the kernel buys speed, never different schedules.
-    assert array_scores == object_scores
-    speedup = object_wall / array_wall if array_wall else 0.0
+    assert array_scores == full_scores
+    speedup = full_wall / array_wall if array_wall else 0.0
     assert speedup >= SPEEDUP_FLOOR, (
-        f"batch kernel only {speedup:.2f}x vs object path "
+        f"batch kernel only {speedup:.2f}x vs full re-simulation "
         f"(floor {SPEEDUP_FLOOR}x) — did the hot loop regress?"
     )
 
@@ -141,11 +139,11 @@ def test_batch_eval_speedup(workload, population):
         "wall_s": array_wall,
         "makespan": min(array_scores),
         "scores_checksum": digest,
-        "speedup_vs_object": speedup,
+        "speedup_vs_full": speedup,
     }
-    _report["object_sequential"] = {
-        "wall_s": object_wall,
-        "makespan": min(object_scores),
+    _report["full_sequential"] = {
+        "wall_s": full_wall,
+        "makespan": min(full_scores),
         "scores_checksum": digest,
     }
 

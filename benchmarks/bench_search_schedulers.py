@@ -1,19 +1,17 @@
-"""Search-scheduler cost: array-batched vs object-incremental vs full.
+"""Search-scheduler cost: array-batched vs full re-simulation.
 
 ``bench_scheduler_cost`` times every algorithm once; this module zooms in on
 the two mapping-search schedulers (simulated annealing, genetic search),
-whose candidate streams are exactly what the prefix-reusing evaluators
-accelerate.  Each scheduler is timed three times on a fixed workload:
+whose candidate streams are exactly what the prefix-reusing evaluator
+accelerates.  Each scheduler is timed twice on a fixed workload:
 
 - ``array`` (the headline, scheduler default): the batched array-native
-  kernel of :mod:`repro.core.batch` on flat columns,
-- ``object``: the :mod:`repro.core.incremental` evaluator on the object
-  substrate (the PR 5 hot path, kept as a secondary series),
+  evaluator of :mod:`repro.core.batch` on flat columns,
 - ``full``: one complete ``simulate_mapping`` per candidate (the naive
   reference).
 
-All three runs must produce **bit-identical makespans**: the speedup is
-never allowed to buy a different schedule.
+Both runs must produce **bit-identical makespans**: the speedup is never
+allowed to buy a different schedule.
 
 As in ``bench_scheduler_cost``, the timed benchmark runs with observability
 disabled, and a separate instrumented pass collects the decision counters —
@@ -46,8 +44,7 @@ ALGOS = ("annealing", "genetic")
 #: AOT extension happens to be built (makespans are bit-identical either
 #: way; wall time is not).
 MODES = {
-    "array": {"incremental": True, "backend": "array", "kernel": "python"},
-    "object": {"incremental": True, "backend": "object"},
+    "array": {"incremental": True, "kernel": "python"},
     "full": {"incremental": False},
 }
 
@@ -120,9 +117,7 @@ def test_search_scheduler_runtime(benchmark, workload, algo, mode):
         assert run["counters"].get("mapping.prefix_hits", 0) > 0
         if algo == "genetic":
             assert run["counters"].get("mapping.batch_evaluations", 0) > 0
-        entry.update(
-            {**run, "backend": "array", "kernel": "python", **_hit_rates(run["counters"])}
-        )
+        entry.update({**run, "kernel": "python", **_hit_rates(run["counters"])})
     else:
         entry[mode] = {"wall_s": run["wall_s"], "makespan": run["makespan"]}
 
@@ -138,23 +133,21 @@ def makespan_checksum(report: dict[str, dict]) -> str:
 
 def _finalize(report: dict[str, dict]) -> dict:
     for algo, entry in report.items():
-        for mode in ("object", "full"):
-            other = entry.get(mode)
-            if other is None:
-                continue
-            # Bit-identity across the three evaluation paths is the bench's
-            # core claim: fail loudly, don't just record drift.
-            assert other["makespan"] == entry["makespan"], (
-                f"{algo}: array makespan {entry['makespan']!r} != "
-                f"{mode} {other['makespan']!r}"
-            )
-            entry[f"speedup_vs_{mode}"] = (
-                other["wall_s"] / entry["wall_s"] if entry["wall_s"] else 0.0
-            )
-        # Kept under its historical name: the full-path cost of the default
-        # evaluator, whatever backend that default is.
-        if "speedup_vs_full" in entry:
-            entry["incremental_speedup"] = entry["speedup_vs_full"]
+        full = entry.get("full")
+        if full is None:
+            continue
+        # Bit-identity across the evaluation paths is the bench's core
+        # claim: fail loudly, don't just record drift.
+        assert full["makespan"] == entry["makespan"], (
+            f"{algo}: array makespan {entry['makespan']!r} != "
+            f"full {full['makespan']!r}"
+        )
+        entry["speedup_vs_full"] = (
+            full["wall_s"] / entry["wall_s"] if entry["wall_s"] else 0.0
+        )
+        # Kept under its historical name: the full-path cost of the
+        # default evaluator.
+        entry["incremental_speedup"] = entry["speedup_vs_full"]
     return {
         "algorithms": report,
         "makespan_checksum": makespan_checksum(report),

@@ -156,36 +156,25 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                   "schedulers (annealing, genetic)")
             return 2
         kwargs["incremental"] = False
-    if args.backend is not None:
-        if not is_search:
-            print("--backend only applies to the mapping-search "
-                  "schedulers (annealing, genetic)")
-            return 2
-        if args.no_incremental:
-            print("--no-incremental runs the full re-simulation path; "
-                  "--backend does not apply")
-            return 2
-        kwargs["backend"] = args.backend
     if args.eval_kernel is not None:
         if not is_search:
             print("--eval-kernel only applies to the mapping-search "
                   "schedulers (annealing, genetic)")
             return 2
-        if args.no_incremental or args.backend == "object":
-            print("--eval-kernel selects the array backend's hot loop; "
-                  "it does not apply to the object/full evaluation paths")
+        if args.no_incremental:
+            print("--eval-kernel selects the array evaluator's hot loop; "
+                  "it does not apply to the full re-simulation path")
             return 2
         kwargs["kernel"] = args.eval_kernel
     # What actually scores candidates, for --stats / the run ledger.
     backend_used = None
     kernel_used = None
     if is_search:
-        backend_used = (
-            "full" if args.no_incremental else (args.backend or "array")
-        )
-        if backend_used == "array":
+        backend_used = "full"
+        if not args.no_incremental:
             from repro.core.kernelreg import active_kernel
 
+            backend_used = "array"
             kernel_used = active_kernel(args.eval_kernel or "auto")
     t0 = perf_counter()
     try:
@@ -628,17 +617,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     phases = ("routing", "insertion", "processor_selection", "task_placement")
     rows = []
     for name in args.algorithms:
-        scheduler = SCHEDULERS[name]()
-        # The mapping searches score candidates through a pluggable
-        # evaluation backend; report it (and the active array-kernel
-        # implementation) so profile rows are attributable.
-        backend = getattr(scheduler, "backend", None) or "-"
+        # The mapping searches score candidates with the array evaluator;
+        # report its active kernel so profile rows are attributable.
+        backend = "-"
         kwargs = {}
-        if backend == "array":
+        if name in ("annealing", "genetic"):
             from repro.core.kernelreg import active_kernel
 
             kwargs["kernel"] = args.eval_kernel
-            backend += f"/{active_kernel(args.eval_kernel)}"
+            backend = f"array/{active_kernel(args.eval_kernel)}"
         obs.enable(obs.NullSink())
         obs.reset()
         t0 = perf_counter()
@@ -806,15 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(annealing/genetic only; results are bit-identical either way)",
     )
     p.add_argument(
-        "--backend", choices=("object", "array"), default=None,
-        help="candidate-evaluation backend for the mapping-search "
-        "schedulers: 'array' (default) scores on flat columns and batches, "
-        "'object' uses the per-slot object substrate (annealing/genetic "
-        "only; results are bit-identical either way)",
-    )
-    p.add_argument(
         "--eval-kernel", choices=("auto", "python", "compiled"), default=None,
-        help="implementation of the array backend's scoring hot loop: "
+        help="implementation of the array evaluator's scoring hot loop: "
         "'auto' (default) uses the AOT-compiled extension when built, "
         "'python' forces the reference loop, 'compiled' requires the "
         "extension (annealing/genetic only; kernels are bit-identical — "
@@ -964,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1, help="runs to average over")
     p.add_argument(
         "--eval-kernel", choices=("auto", "python", "compiled"), default="auto",
-        help="array-backend scoring kernel for the mapping-search rows "
+        help="array-evaluator scoring kernel for the mapping-search rows "
         "(bit-identical; the active kernel shows in the backend column)",
     )
     p.set_defaults(fn=_cmd_profile)

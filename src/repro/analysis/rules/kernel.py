@@ -1,8 +1,7 @@
 """KER00x: compilable-subset enforcement for the batch-evaluation hot loops.
 
-ROADMAP item 4 keeps open the option of lowering the array backend's inner
-loops (``BatchMappingEvaluator._resimulate`` and the arraystate journal
-paths) through a tracing compiler — Numba/Cython-style, operating on plain
+ROADMAP item 4 keeps open the option of lowering the array evaluator's inner
+loops (``PyKernel._resimulate`` and the column-state journal paths) through a tracing compiler — Numba/Cython-style, operating on plain
 ints, floats and homogeneous lists.  Whether or not that lands, the hot
 loops must stay inside the subset such a compiler can take: every dynamic
 feature that creeps in now is a rewrite later, and most of them are also
@@ -13,7 +12,7 @@ The *hot set* is computed, not annotated: conventional roots
 they transitively call module-locally, via
 :mod:`repro.analysis.callgraph`.  Scope is pinned to the kernel files
 (``repro/core/_kernel.py`` — the module the optional AOT build compiles —
-plus its driver and re-export shim) — these rules are deliberately too
+plus its driver) — these rules are deliberately too
 strict for ordinary code.
 
 - **KER001** — static signatures and call shapes only: no ``*args`` /

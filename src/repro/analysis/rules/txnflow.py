@@ -15,13 +15,11 @@ checked on the CFG (:mod:`repro.analysis.cfg`) with must-reach dataflow
   of everything that can raise mid-probe — passes a ``X.commit()`` or
   ``X.rollback()``.  The exception edge of the ``begin()`` itself is
   exempt: a ``begin()`` that raises opened nothing.
-- **TXN102** — a journal mark captured into a local (``m = X.snapshot()``
-  / ``m = X.journal_mark()``) must reach a ``X.restore(m)`` /
-  ``X.rollback_to(m)`` on every path, *unless the mark escapes* (stored in
-  a container or attribute, passed to another call, returned): escaped
-  marks are checkpoint book-keeping — the incremental evaluators' ``lmarks``
-  lists — whose balance is a cross-call protocol the baseline documents,
-  not a per-function property.
+- **TXN102** — a journal mark captured into a local (``m = X.snapshot()``)
+  must reach a ``X.restore(m)`` on every path, *unless the mark escapes*
+  (stored in a container or attribute, passed to another call, returned):
+  escaped marks are checkpoint book-keeping whose balance is a cross-call
+  protocol the baseline documents, not a per-function property.
 - **TXN103** — a ``X.commit()``/``X.rollback()`` must be *dominated* by a
   ``X.begin()`` on the same receiver: on every path that reaches the
   closer, the transaction it closes was actually opened.  Closing an
@@ -48,8 +46,8 @@ from repro.analysis.engine import LintContext, Rule, dotted, register, scopes
 #: transaction openers -> their closers
 _TXN_CLOSERS = frozenset({"commit", "rollback"})
 #: journal-mark producers -> their consumers
-_MARK_PRODUCERS = frozenset({"snapshot", "journal_mark"})
-_MARK_CONSUMERS = frozenset({"restore", "rollback_to"})
+_MARK_PRODUCERS = frozenset({"snapshot"})
+_MARK_CONSUMERS = frozenset({"restore"})
 
 
 def _method_call(call: ast.Call, names: frozenset[str]) -> tuple[str, str] | None:
@@ -122,18 +120,17 @@ class TransactionBalanceRule(Rule):
 
 @register
 class JournalMarkBalanceRule(Rule):
-    """Local journal marks must reach their ``restore``/``rollback_to``."""
+    """Local journal marks must reach their ``restore``."""
 
     rule_id = "TXN102"
     name = "journal-mark-leak-path"
-    summary = "a local snapshot()/journal_mark() with a path that never restores it"
+    summary = "a local snapshot() with a path that never restores it"
     rationale = (
         "A mark captured for a trial placement and then dropped on some "
         "path leaves the journal (and the columns it guards) holding the "
         "trial's writes — the next evaluation scores a corrupted prefix.  "
-        "Marks that escape into containers/attributes (the evaluators' "
-        "lmarks checkpoints) are cross-call protocol, not per-function "
-        "balance, and are exempt."
+        "Marks that escape into containers/attributes (checkpoint lists) "
+        "are cross-call protocol, not per-function balance, and are exempt."
     )
     include = ("repro",)
 
@@ -172,7 +169,7 @@ class JournalMarkBalanceRule(Rule):
                         call,
                         f"journal mark `{var}` from `{receiver}."
                         f"{call.func.attr}()` is not restored on every path "  # type: ignore[union-attr]
-                        f"(`{receiver}.restore/rollback_to({var})` missing "
+                        f"(`{receiver}.restore({var})` missing "
                         "or unreachable); rewind in a finally",
                     )
 
@@ -203,7 +200,7 @@ class JournalMarkBalanceRule(Rule):
             if isinstance(node.ctx, ast.Store):
                 continue
             parent_ok = False
-            # The only sanctioned load is `recv.restore(var)`/`rollback_to`;
+            # The only sanctioned load is `recv.restore(var)`;
             # any other load — append argument, return value, arithmetic —
             # means the mark's lifetime leaves this function's control flow.
             # (Parent lookup via a local walk keeps this scope-independent.)

@@ -6,8 +6,7 @@ exactly the state and arithmetic an ahead-of-time compiler needs to see —
 and nothing else:
 
 - :class:`ArrayLinkState` / :class:`ArrayProcState` — the flat column
-  stores with positional undo journals (moved here from
-  ``repro.linksched.arraystate``, which re-exports them).
+  stores with positional undo journals.
 - :class:`PyKernel` — the kernel object driven by
   :class:`~repro.core.batch.BatchMappingEvaluator`: divergence scan,
   journal rewind, and the fused ``_resimulate`` booking loop (bisect gap
@@ -284,10 +283,10 @@ class PyKernel:
     def _resimulate(self, cand: list[int], start: int) -> int:
         """Simulate order positions ``start..n`` onto the columns.
 
-        The booking arithmetic is ``LinkScheduleState.book_edge_basic``
-        verbatim — inlined bisect gap search, ``cost / speed`` durations,
-        cut-through vs store-and-forward constraint propagation — minus the
-        object bookkeeping.  Positions ``< start`` must already agree with
+        The booking arithmetic is ``schedule_edge_basic`` over
+        ``find_gap_indexed`` verbatim — inlined bisect gap search,
+        ``cost / speed`` durations, cut-through vs store-and-forward
+        constraint propagation — minus the slot-object bookkeeping.  Positions ``< start`` must already agree with
         ``cand`` (the caller rewound to the shared prefix).  Returns the
         first processor pair whose route plan is missing (after undoing the
         partial position), or ``-1`` on completion.

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.ba import BAScheduler
 from repro.core.batch import BatchMappingEvaluator
-from repro.core.incremental import IncrementalMappingEvaluator
 from repro.core.kernelreg import KERNEL_CHOICES
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
@@ -50,24 +49,18 @@ class AnnealingScheduler:
     seed_with_ba:
         Start from BA's mapping (default) instead of a random one.
     incremental:
-        Evaluate candidates with a prefix-reusing evaluator (default)
-        instead of a full ``simulate_mapping`` per candidate.  Results are
-        bit-identical either way; ``False`` keeps the naive evaluator
-        reachable as the differential reference (and ignores ``backend``).
-    backend:
-        Which prefix-reusing evaluator scores candidates: ``"array"``
-        (default) for the flat-column
-        :class:`~repro.core.batch.BatchMappingEvaluator`, ``"object"`` for
-        the :class:`~repro.core.incremental.IncrementalMappingEvaluator` on
-        the object substrate.  Makespans and schedules are bit-identical
-        across backends (``tests/test_batch_equivalence.py``).
+        Score candidates with the prefix-reusing
+        :class:`~repro.core.batch.BatchMappingEvaluator` (default) instead
+        of a full ``simulate_mapping`` per candidate.  Results are
+        bit-identical either way (``tests/test_batch_equivalence.py``);
+        ``False`` keeps the naive evaluator reachable as the differential
+        reference (and ignores ``kernel``).
     kernel:
-        Which implementation runs the array backend's hot loop:
-        ``"auto"`` (default: the AOT-compiled extension when built, pure
-        Python otherwise), ``"python"``, or ``"compiled"`` (raise when the
-        extension is absent).  Ignored by the object backend.  Kernels are
-        bit-identical (see :mod:`repro.core.kernelreg`), so this only
-        changes wall time.
+        Which implementation runs the evaluator's hot loop: ``"auto"``
+        (default: the AOT-compiled extension when built, pure Python
+        otherwise), ``"python"``, or ``"compiled"`` (raise when the
+        extension is absent).  Kernels are bit-identical (see
+        :mod:`repro.core.kernelreg`), so this only changes wall time.
     """
 
     name = "annealing"
@@ -82,17 +75,12 @@ class AnnealingScheduler:
         comm: CommModel = CUT_THROUGH,
         rng: int | np.random.Generator | None = 0,
         incremental: bool = True,
-        backend: str = "array",
         kernel: str = "auto",
     ) -> None:
         if iterations < 1:
             raise SchedulingError(f"need at least one iteration, got {iterations}")
         if not 0 < cooling <= 1:
             raise SchedulingError(f"cooling must be in (0, 1], got {cooling}")
-        if backend not in ("object", "array"):
-            raise SchedulingError(
-                f"unknown evaluation backend {backend!r}; choose 'object' or 'array'"
-            )
         if kernel not in KERNEL_CHOICES:
             raise SchedulingError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
@@ -104,7 +92,6 @@ class AnnealingScheduler:
         self.comm = comm
         self.rng = rng
         self.incremental = incremental
-        self.backend = backend
         self.kernel = kernel
 
     def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
@@ -127,18 +114,13 @@ class AnnealingScheduler:
         else:
             mapping = {tid: int(gen.choice(procs)) for tid in tasks}
 
-        evaluator: IncrementalMappingEvaluator | BatchMappingEvaluator | None = None
+        evaluator: BatchMappingEvaluator | None = None
         evaluate: Callable[[dict[int, int]], float]
         if self.incremental:
-            if self.backend == "array":
-                evaluator = BatchMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name,
-                    kernel=self.kernel,
-                )
-            else:
-                evaluator = IncrementalMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name
-                )
+            evaluator = BatchMappingEvaluator(
+                graph, net, comm=self.comm, algorithm=self.name,
+                kernel=self.kernel,
+            )
             evaluate = evaluator.evaluate
         else:
 

@@ -1,16 +1,14 @@
-"""Batched array-native candidate evaluation for the mapping searches.
+"""The mapping searches' candidate evaluator: batched, on flat columns.
 
-:class:`~repro.core.incremental.IncrementalMappingEvaluator` (the *object*
-backend) made candidate scoring incremental: rewind to the divergence point,
-re-simulate the suffix.  Profiling the annealing/genetic benchmarks after
-that change showed the remaining time going not to the *amount* of work but
-to its *representation*: every booking still built a ``TimeSlot``, updated a
-``by_edge`` dict, bumped a version counter and appended a tagged undo tuple
-— machinery the score-only pass never reads.
-
-:class:`BatchMappingEvaluator` (the *array* backend) re-hosts the same
-suffix re-simulation on a flat column store driven through a swappable
-**kernel** (:mod:`repro.core._kernel`, selected by
+Mapping-search schedulers (simulated annealing, genetic search) score long
+streams of neighbouring candidates with :func:`~repro.core.mapping.simulate_mapping`
+semantics.  That function releases tasks in a fixed priority-list order and
+every booking at order position ``p`` depends only on positions ``< p``, so
+two mappings that agree up to their first differing position share a
+bit-identical simulation prefix.  :class:`BatchMappingEvaluator` keeps the
+simulation state of the last candidate live, rewinds it to the divergence
+point and re-simulates only the suffix, on a flat column store driven
+through a swappable **kernel** (:mod:`repro.core._kernel`, selected by
 :mod:`repro.core.kernelreg`):
 
 - Tasks are **dense order positions**, processors dense indices; a candidate
@@ -24,15 +22,16 @@ suffix re-simulation on a flat column store driven through a swappable
   stay lazy: the kernel reports the first unresolved pair it hits, this
   evaluator resolves the route (:func:`~repro.network.routing.bfs_route`)
   and retries.
-- A booking is the object path's gap-search arithmetic verbatim (the
+- A booking is ``simulate_mapping``'s gap-search arithmetic verbatim (the
   bit-identity contract) followed by two column inserts and a journal
-  append; a rewind pops journal entries.  The loop itself lives in the
-  kernel: pure Python by default, or the AOT-built C extension when
-  present (``kernel={auto,python,compiled}``; both are bit-identical).
+  append; a rewind pops journal entries.  No ``TimeSlot``, edge index or
+  route record is built: the score-only pass never reads them.  The loop
+  itself lives in the kernel: pure Python by default, or the AOT-built C
+  extension when present (``kernel={auto,python,compiled}``; both are
+  bit-identical).
 
 **Batch semantics.**  :meth:`evaluate_batch` scores N candidates as one
-batch forking from a shared prefix checkpoint — the generalization of the
-object backend's 1-candidate divergence rewind.  Because every candidate's
+batch forking from a shared prefix checkpoint.  Because every candidate's
 score is a pure function of its mapping (simulation state is rewound, never
 leaked between candidates), the batch may be evaluated in any order;
 evaluating in **lexicographic dense-genome order** maximizes consecutive
@@ -42,22 +41,22 @@ dense genome short-circuits repeats (a genetic elite re-scored every
 generation, an annealing move retried), counted as
 ``mapping.identical_skips``.
 
-Counters (all under ``OBS.on``, accumulated per candidate — the array
-backend pays no per-booking instrumentation): ``mapping.evaluations``,
-``mapping.prefix_hits``, ``mapping.suffix_tasks_resimulated`` (shared with
-the object backend), plus ``mapping.shared_prefix_tasks`` (order positions
-reused from the checkpoint), ``mapping.batch_evaluations`` /
-``mapping.batch_candidates`` (every scoring request: one increment per
-:meth:`evaluate_batch` with its population size, and one batch of size 1
-per single-candidate :meth:`evaluate` — so ``batch_candidates /
-batch_evaluations`` is the true mean batch size across a search) and
-``mapping.identical_skips``.
+Counters (all under ``OBS.on``, accumulated per candidate — the evaluator
+pays no per-booking instrumentation): ``mapping.evaluations``,
+``mapping.prefix_hits`` (evaluations that reused a non-empty prefix),
+``mapping.suffix_tasks_resimulated`` (positions actually re-run),
+``mapping.shared_prefix_tasks`` (order positions reused from the
+checkpoint), ``mapping.batch_evaluations`` / ``mapping.batch_candidates``
+(every scoring request: one increment per :meth:`evaluate_batch` with its
+population size, and one batch of size 1 per single-candidate
+:meth:`evaluate` — so ``batch_candidates / batch_evaluations`` is the true
+mean batch size across a search) and ``mapping.identical_skips``.
 
 Scoring is bit-identical to ``simulate_mapping`` — same divisions, same gap
 arithmetic, same ``max`` reductions — proven slot-by-slot by
 ``tests/test_batch_equivalence.py``.  Materializing a full
 :class:`~repro.core.schedule.Schedule` (:meth:`BatchMappingEvaluator.schedule`)
-delegates to the object path: the columns carry no edge identities or
+delegates to ``simulate_mapping``: the columns carry no edge identities or
 routes, and the winner is scheduled once per search.
 """
 
@@ -99,16 +98,13 @@ class BatchMappingEvaluator:
     (``kernel={auto,python,compiled}``; see :mod:`repro.core.kernelreg`).
     :meth:`evaluate` scores one candidate, :meth:`evaluate_batch` a
     population, :meth:`schedule` materializes the chosen mapping through
-    the object path.  The evaluator owns live column state shared across
+    ``simulate_mapping``.  The evaluator owns live column state shared across
     calls, so it must not be used concurrently.
 
-    Like the object backend, per-candidate validation is lazy: a mapping
+    Per-candidate validation is lazy: a mapping
     that misses a task or maps one to a non-processor raises when first
     converted; extra keys for tasks outside the graph are ignored.
     """
-
-    #: reported by ``repro profile`` / ``--stats`` (satellite of ISSUE 8)
-    backend = "array"
 
     def __init__(
         self,
@@ -138,8 +134,8 @@ class BatchMappingEvaluator:
         n = len(task_order)
         self._n = n
         pos_of = {tid: i for i, tid in enumerate(task_order)}
-        # Static per-position facts.  ``exec_flat[pos * P + pidx]`` keeps the
-        # object path's ``weight / speed`` division (never rewritten as a
+        # Static per-position facts.  ``exec_flat[pos * P + pidx]`` keeps
+        # ``simulate_mapping``'s ``weight / speed`` division (never rewritten as a
         # multiplication by the inverse — that rounds differently).  In-edges
         # are CSR arrays: position ``pos``'s predecessors (sorted by source
         # task id) live at ``edge_src/edge_cost[edge_off[pos] :
@@ -207,7 +203,7 @@ class BatchMappingEvaluator:
     # -- public API ----------------------------------------------------------
 
     def evaluate_dense(self, cand: list[int]) -> float:
-        """Makespan of a dense genome — bit-identical to the object path.
+        """Makespan of a dense genome — bit-identical to ``simulate_mapping``.
 
         Rewinds the live columns to the longest prefix shared with the
         previously evaluated genome and re-simulates only the suffix (both

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.ba import BAScheduler
 from repro.core.batch import BatchMappingEvaluator
-from repro.core.incremental import IncrementalMappingEvaluator
 from repro.core.kernelreg import KERNEL_CHOICES
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
@@ -43,7 +42,6 @@ class GeneticScheduler:
         comm: CommModel = CUT_THROUGH,
         rng: int | np.random.Generator | None = 0,
         incremental: bool = True,
-        backend: str = "array",
         kernel: str = "auto",
     ) -> None:
         if population < 2:
@@ -54,10 +52,6 @@ class GeneticScheduler:
             raise SchedulingError(f"mutation rate must be in [0, 1], got {mutation_rate}")
         if not 0 <= elite < population:
             raise SchedulingError(f"elite must be in [0, population), got {elite}")
-        if backend not in ("object", "array"):
-            raise SchedulingError(
-                f"unknown evaluation backend {backend!r}; choose 'object' or 'array'"
-            )
         if kernel not in KERNEL_CHOICES:
             raise SchedulingError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
@@ -69,17 +63,12 @@ class GeneticScheduler:
         self.seed_with_ba = seed_with_ba
         self.comm = comm
         self.rng = rng
-        #: evaluate candidates incrementally (prefix-state reuse); ``False``
-        #: keeps the full-resimulation reference path reachable (and ignores
-        #: ``backend``)
+        #: score each generation as one batch with the prefix-reusing
+        #: :class:`~repro.core.batch.BatchMappingEvaluator`; ``False`` keeps
+        #: the full-resimulation reference path reachable (and ignores
+        #: ``kernel``).  Scores and schedules are bit-identical either way.
         self.incremental = incremental
-        #: prefix-reusing evaluator flavour: ``"array"`` (default) scores
-        #: each generation as one batch on flat columns
-        #: (:class:`~repro.core.batch.BatchMappingEvaluator`), ``"object"``
-        #: scores candidates one-by-one on the object substrate.  Scores
-        #: and schedules are bit-identical across backends.
-        self.backend = backend
-        #: array-backend hot-loop implementation (``auto``/``python``/
+        #: evaluator hot-loop implementation (``auto``/``python``/
         #: ``compiled``); bit-identical by contract, wall-time only
         self.kernel = kernel
 
@@ -102,35 +91,27 @@ class GeneticScheduler:
         def to_mapping(genome: np.ndarray) -> dict[int, int]:
             return {tid: int(genome[i]) for i, tid in enumerate(tasks)}
 
-        evaluator: IncrementalMappingEvaluator | BatchMappingEvaluator | None = None
+        evaluator: BatchMappingEvaluator | None = None
         if self.incremental:
-            if self.backend == "array":
-                evaluator = BatchMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name,
-                    kernel=self.kernel,
-                )
-            else:
-                evaluator = IncrementalMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name
-                )
-
-        def fitness(genome: np.ndarray) -> float:
-            if evaluator is not None:
-                return evaluator.evaluate(to_mapping(genome))
-            return simulate_mapping(
-                graph, net, to_mapping(genome), comm=self.comm, algorithm=self.name
-            ).makespan
+            evaluator = BatchMappingEvaluator(
+                graph, net, comm=self.comm, algorithm=self.name,
+                kernel=self.kernel,
+            )
 
         def score_pool(pool: list[np.ndarray]) -> np.ndarray:
-            # The array backend scores each generation as one batch forking
-            # from the shared prefix checkpoint; scores are pure functions
-            # of the mappings, so the result array is bit-identical to the
-            # one-by-one path (same floats, same order).
-            if isinstance(evaluator, BatchMappingEvaluator):
-                return np.array(
-                    evaluator.evaluate_batch([to_mapping(g) for g in pool])
-                )
-            return np.array([fitness(g) for g in pool])
+            # The evaluator scores each generation as one batch forking from
+            # the shared prefix checkpoint; scores are pure functions of the
+            # mappings, so the result array is bit-identical to the
+            # one-by-one reference path (same floats, same order).
+            mappings = [to_mapping(g) for g in pool]
+            if evaluator is not None:
+                return np.array(evaluator.evaluate_batch(mappings))
+            return np.array([
+                simulate_mapping(
+                    graph, net, m, comm=self.comm, algorithm=self.name
+                ).makespan
+                for m in mappings
+            ])
 
         pool = [random_genome() for _ in range(self.population)]
         if self.seed_with_ba:

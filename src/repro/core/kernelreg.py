@@ -1,9 +1,9 @@
 """Kernel registry: pick the batch-evaluation kernel implementation.
 
-Mirrors the ``backend={array,object}`` switch one level down: the *array*
-backend's hot loop exists twice — the always-importable pure-Python
-reference (:class:`repro.core._kernel.PyKernel`) and an optional AOT-built
-C extension (``repro.core._kernel_c`` via :mod:`repro.core._kernel_cwrap`)
+The mapping-search evaluator's (:mod:`repro.core.batch`) hot loop exists
+twice — the always-importable pure-Python reference
+(:class:`repro.core._kernel.PyKernel`) and an optional AOT-built C
+extension (``repro.core._kernel_c`` via :mod:`repro.core._kernel_cwrap`)
 — and this module is the single place that decides which one runs.
 
 ``kernel`` values (CLI ``--eval-kernel`` / scheduler ``kernel=``):

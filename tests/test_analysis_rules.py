@@ -16,6 +16,7 @@ from repro.analysis.findings import Finding
 CORE = "src/repro/core/sample.py"
 LINKSCHED = "src/repro/linksched/sample.py"
 EXPERIMENTS = "src/repro/experiments/sample.py"
+KERNEL = "src/repro/core/_kernel.py"
 
 
 def run_rule(rule_id: str, source: str, path: str = CORE) -> list[Finding]:
@@ -569,7 +570,7 @@ class TestTransactionBalance:
 
 
 class TestJournalMarkBalance:
-    """TXN102: local snapshot()/journal_mark() must be restored on all paths."""
+    """TXN102: a local snapshot() must be restored on all paths."""
 
     def test_early_return_drop_fires(self):
         found = run_rule(
@@ -599,22 +600,9 @@ class TestJournalMarkBalance:
             """,
         )
 
-    def test_journal_mark_rollback_to_is_clean(self):
-        assert not run_rule(
-            "TXN102",
-            """
-            def trial(state, cand) -> float:
-                mark = state.journal_mark()
-                try:
-                    return score(state, cand)
-                finally:
-                    state.rollback_to(mark)
-            """,
-        )
-
     def test_escaping_mark_is_exempt(self):
-        # The incremental evaluators' checkpoint lists: marks stored for a
-        # later cross-call rewind are not per-function balance.
+        # Checkpoint lists: marks stored for a later cross-call rewind are
+        # not per-function balance.
         assert not run_rule(
             "TXN102",
             """
@@ -880,7 +868,7 @@ class TestKernelRules:
             def restore(self, mark):
                 self.pop(*mark)
             """,
-            path="src/repro/linksched/arraystate.py",
+            path=KERNEL,
         )
         assert len(found) == 1
 
@@ -891,7 +879,7 @@ class TestKernelRules:
             def snapshot(self):
                 return len(getattr(self, "journal_index"))
             """,
-            path="src/repro/linksched/arraystate.py",
+            path=KERNEL,
         )
         assert len(found) == 1
 
@@ -902,7 +890,7 @@ class TestKernelRules:
             def makespan(self):
                 return max(self.finish, key=lambda f: f)
             """,
-            path="src/repro/linksched/arraystate.py",
+            path=KERNEL,
         )
         assert len(found) == 1
 
@@ -913,7 +901,7 @@ class TestKernelRules:
             def makespan(self):
                 return max(f for f in self.finish)
             """,
-            path="src/repro/linksched/arraystate.py",
+            path=KERNEL,
         )
         assert len(found) == 1
 
@@ -941,7 +929,7 @@ class TestKernelRules:
             def booked_links(self):
                 return sorted(lid for lid in self._columns)
             """,
-            path="src/repro/linksched/arraystate.py",
+            path=KERNEL,
         )
 
     def test_rules_scoped_to_kernel_files(self):
@@ -956,7 +944,6 @@ class TestKernelRules:
 
 
 BATCH = "src/repro/core/batch.py"
-ARRAYSTATE = "src/repro/linksched/arraystate.py"
 
 
 class TestColumnLoop:
@@ -971,7 +958,7 @@ class TestColumnLoop:
                         best = f
                 return best
             """,
-            path=ARRAYSTATE,
+            path=KERNEL,
         )
         assert [f.rule for f in found] == ["ARR001"]
         assert "finishes" in found[0].message
@@ -1007,7 +994,7 @@ class TestColumnLoop:
         found = run_rule(
             "ARR001",
             "total = sum(f for f in finishes)\n",
-            path=ARRAYSTATE,
+            path=KERNEL,
         )
         assert len(found) == 1
         assert "comprehension" in found[0].message
@@ -1024,7 +1011,7 @@ class TestColumnLoop:
                 finishes.insert(i, t + 1.0)
                 del starts[i:]
             """,
-            path=ARRAYSTATE,
+            path=KERNEL,
         )
 
     def test_non_column_loops_are_clean(self):
@@ -1057,7 +1044,7 @@ class TestColumnLoop:
                     return [f"{f:.3f}" for f in finishes]  # repro-lint: disable=ARR001
                 """
             ),
-            ARRAYSTATE,
+            KERNEL,
             select_rules(["ARR001"]),
         )
         assert not result.findings

@@ -137,18 +137,18 @@ class TestEvalKernel:
         )
         assert "mapping-search" in capsys.readouterr().out
 
-    def test_rejected_for_object_backend(self, capsys):
+    def test_rejected_for_full_resimulation(self, capsys):
         assert (
             main(
                 [
                     "schedule", "--algorithm", "annealing", "--tasks", "8",
-                    "--backend", "object", "--eval-kernel", "python",
+                    "--no-incremental", "--eval-kernel", "python",
                     "--no-gantt",
                 ]
             )
             == 2
         )
-        assert "array backend" in capsys.readouterr().out
+        assert "full re-simulation" in capsys.readouterr().out
 
     def test_profile_shows_kernel_in_backend_column(self, capsys):
         assert (

@@ -124,103 +124,3 @@ class TestProcessorState:
         snap = state.placements()
         state.place(1, 1, 1.0, 0.0)
         assert set(snap) == {0}
-
-
-class TestJournalMode:
-    def test_mark_and_rollback_restores_placements(self):
-        state = ProcessorState()
-        state.enable_journal()
-        state.place(0, 100, 2.0, 0.0, insertion=False)
-        mark = state.journal_mark()
-        state.place(1, 100, 3.0, 0.0, insertion=False)
-        state.place(2, 101, 1.0, 0.0, insertion=False)
-        state.rollback_to(mark)
-        assert state.is_placed(0)
-        assert not state.is_placed(1)
-        assert not state.is_placed(2)
-        assert state.finish_time(100) == 2.0
-        assert state.finish_time(101) == 0.0
-
-    def test_nested_marks(self):
-        state = ProcessorState()
-        state.enable_journal()
-        marks = []
-        for tid in range(3):
-            marks.append(state.journal_mark())
-            state.place(tid, 100, 1.0, 0.0, insertion=False)
-        state.rollback_to(marks[2])
-        assert state.finish_time(100) == 2.0
-        state.rollback_to(marks[0])
-        assert state.finish_time(100) == 0.0
-
-    def test_transactions_unavailable_in_journal_mode(self):
-        state = ProcessorState()
-        state.enable_journal()
-        with pytest.raises(SchedulingError):
-            state.begin()
-
-    def test_enable_journal_with_open_transaction_rejected(self):
-        state = ProcessorState()
-        state.begin()
-        with pytest.raises(SchedulingError):
-            state.enable_journal()
-        state.rollback()
-
-    def test_double_enable_rejected(self):
-        state = ProcessorState()
-        state.enable_journal()
-        with pytest.raises(SchedulingError):
-            state.enable_journal()
-
-    def test_mark_and_rollback_require_journal(self):
-        state = ProcessorState()
-        with pytest.raises(SchedulingError):
-            state.journal_mark()
-        with pytest.raises(SchedulingError):
-            state.rollback_to(0)
-
-    def test_rollback_mark_out_of_range(self):
-        state = ProcessorState()
-        state.enable_journal()
-        with pytest.raises(SchedulingError):
-            state.rollback_to(5)
-        with pytest.raises(SchedulingError):
-            state.rollback_to(-1)
-
-    def test_journaling_property(self):
-        state = ProcessorState()
-        assert not state.journaling
-        state.enable_journal()
-        assert state.journaling
-
-
-class TestPlaceAppend:
-    """The fused append-mode booking must match place(insertion=False)."""
-
-    def test_matches_place_end_technique(self):
-        fused = ProcessorState()
-        layered = ProcessorState()
-        bookings = [(0, 100, 2.0, 0.0), (1, 100, 3.0, 1.0), (2, 101, 1.0, 7.5),
-                    (3, 100, 0.5, 0.0)]
-        for task, vid, duration, est in bookings:
-            p1 = fused.place_append(task, vid, duration, est)
-            p2 = layered.place(task, vid, duration, est, insertion=False)
-            assert p1 == p2
-        assert fused.placements() == layered.placements()
-        for vid in (100, 101):
-            assert fused.timeline(vid) == layered.timeline(vid)
-
-    def test_duplicate_placement_rejected(self):
-        state = ProcessorState()
-        state.place_append(0, 100, 1.0, 0.0)
-        with pytest.raises(SchedulingError):
-            state.place_append(0, 101, 1.0, 0.0)
-
-    def test_journaled_append_rewinds(self):
-        state = ProcessorState()
-        state.enable_journal()
-        mark = state.journal_mark()
-        state.place_append(0, 100, 2.0, 0.0)
-        state.rollback_to(mark)
-        assert not state.is_placed(0)
-        assert state.timeline(100) == []
