@@ -27,6 +27,7 @@ from repro.linksched.causality import (
     check_route_causality,
     check_route_connectivity,
 )
+from repro.types import LinkId
 
 
 def validate_schedule(schedule: Schedule, eps: float = CAUSALITY_EPS) -> None:
@@ -158,14 +159,17 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
     assert state is not None
     graph = schedule.graph
 
-    # Capacity: the committed profile of every link stays <= 1.
+    # Capacity: the committed profile of every link stays <= 1.  Links are
+    # checked once each, in the order their first booking is met.
+    checked: set[LinkId] = set()
     for e in graph.edges():
         for booking in state.bookings_of(e.key):
-            prof = state.profile(booking.lid)
-            if prof.max_used() > 1.0 + 1e-6:
-                raise ValidationError(
-                    f"link {booking.lid} over-committed: used {prof.max_used()}"
-                )
+            if booking.lid in checked:
+                continue
+            checked.add(booking.lid)
+            used = state.profile(booking.lid).max_used()
+            if used > 1.0 + 1e-6:
+                raise ValidationError(f"link {booking.lid} over-committed: used {used}")
 
     for e in graph.edges():
         if not state.has_route(e.key):

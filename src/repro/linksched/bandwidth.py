@@ -24,7 +24,9 @@ the slot-splitting bookkeeping of the paper's presentation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.exceptions import SchedulingError
@@ -36,6 +38,10 @@ if TYPE_CHECKING:
 
 #: Numerical slack for backlog/volume comparisons inside the fluid sweep.
 _FEPS = 1e-9
+
+#: Sort keys of the bisected entry points: a point's time, a segment's end.
+_first = itemgetter(0)
+_seg_end = itemgetter(1)
 
 
 class Cumulative:
@@ -100,15 +106,12 @@ class Cumulative:
             return pts[0][1] if pts[0][0] == t else 0.0  # repro-lint: disable=FLT001
         if t >= pts[-1][0]:
             return pts[-1][1]
-        # Linear scan is fine: validation-only path.
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                if t == t1:  # repro-lint: disable=FLT001 (exact breakpoint lookup)
-                    continue  # prefer the right-most pair at jumps
-                if t1 == t0:
-                    continue
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
+        # The first point strictly after ``t`` closes the piece containing
+        # ``t``; at a jump that is the right-most pair, so the value is
+        # right-continuous.
+        j = bisect_right(pts, t, key=_first)
+        (t0, v0), (t1, v1) = pts[j - 1], pts[j]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,11 +146,10 @@ class BandwidthProfile:
         return out
 
     def used_at(self, t: float) -> float:
-        for t0, t1, used in self.segments:
-            if t0 <= t < t1:
-                return used
-            if t0 > t:
-                break
+        segs = self.segments
+        i = bisect_right(segs, t, key=_seg_end)
+        if i < len(segs) and segs[i][0] <= t:
+            return segs[i][2]
         return 0.0
 
     def max_used(self) -> float:
@@ -224,16 +226,16 @@ def forward_through_link(
         elif vb > va:
             rate_pieces.append((ta, tb, (vb - va) / (tb - ta)))
 
-    event_times = sorted(
-        {t0, *jumps, *(t for p in rate_pieces for t in (p[0], p[1])),
-         *(t for t in profile.breakpoints() if t > t0)}
+    # The arrival's own event times.  Together with the profile's
+    # breakpoints after ``t0`` they are every time the forwarding rate can
+    # change; ``t`` only grows, so each source is walked with a pointer.
+    arrival_events = sorted(
+        {t0, *jumps, *(t for p in rate_pieces for t in (p[0], p[1]))}
     )
-
-    def arrival_rate(t: float) -> float:
-        for a, b, r in rate_pieces:
-            if a <= t < b:
-                return r
-        return 0.0
+    n_events = len(arrival_events)
+    n_rates = len(rate_pieces)
+    segs = profile.segments
+    n_seg = len(segs)
 
     forwarded = 0.0
     arrived = 0.0
@@ -241,23 +243,46 @@ def forward_through_link(
     dep_points: list[tuple[float, float]] = [(t0, 0.0)]
     usage: list[UsageSegment] = []
     ei = 0
+    ri = 0
+    # ``si`` is the first segment ending after ``t`` (see probe_step_finish).
+    si = bisect_right(segs, t0, key=_seg_end)
     # Consume any jump exactly at t0.
     arrived += jumps.pop(t0, 0.0)
     guard = 0
-    max_iters = 8 * (len(event_times) + len(profile.segments) + 4) + 64
+    # A lower bound of the iteration budget: its event count leaves out the
+    # profile's breakpoints, which are counted only once the bound is hit.
+    max_iters = 8 * (n_events + n_seg + 4) + 64
     while forwarded < volume - _FEPS:
         guard += 1
         if guard > max_iters:
-            raise SchedulingError(
-                "fluid sweep failed to converge (internal error): "
-                f"forwarded {forwarded} of {volume}"
-            )
-        # Next fixed event after t.
-        while ei < len(event_times) and event_times[ei] <= t:
+            n_all = len({*arrival_events, *(x for x in profile.breakpoints() if x > t0)})
+            max_iters = 8 * (n_all + n_seg + 4) + 64
+            if guard > max_iters:
+                raise SchedulingError(
+                    "fluid sweep failed to converge (internal error): "
+                    f"forwarded {forwarded} of {volume}"
+                )
+        # Next fixed event after t: the next arrival event or the next
+        # segment boundary, whichever comes first.
+        while ei < n_events and arrival_events[ei] <= t:
             ei += 1
-        horizon = event_times[ei] if ei < len(event_times) else math.inf
-        a = arrival_rate(t)
-        cap = max(0.0, 1.0 - profile.used_at(t)) * speed
+        horizon = arrival_events[ei] if ei < n_events else math.inf
+        while si < n_seg and segs[si][1] <= t:
+            si += 1
+        used = 0.0
+        if si < n_seg:
+            seg_a, seg_b, seg_u = segs[si]
+            if t < seg_a:
+                if seg_a < horizon:
+                    horizon = seg_a
+            else:
+                used = seg_u
+                if seg_b < horizon:
+                    horizon = seg_b
+        while ri < n_rates and rate_pieces[ri][1] <= t:
+            ri += 1
+        a = rate_pieces[ri][2] if ri < n_rates and rate_pieces[ri][0] <= t else 0.0
+        cap = max(0.0, 1.0 - used) * speed
         backlog = arrived - forwarded
         if backlog > _FEPS:
             rate = cap
@@ -317,16 +342,17 @@ def probe_step_finish(
     ``forward_through_link(profile, Cumulative.step(t0, volume), speed)``
     followed by ``departure.finish_time()`` — just without the allocations.
 
-    The general sweep's event set (every segment boundary after ``t0``)
-    collapses to a segment-pointer walk: with ``si`` at the first segment
-    ending after ``t``, the next event is that segment's start (when ``t``
-    is in the gap before it) or its end (when ``t`` is inside it) — the
-    segments are sorted and non-overlapping, so nothing else can intervene.
+    The segment boundaries after ``t0`` are walked with a pointer, as in
+    the general sweep: with ``si`` at the first segment ending after ``t``,
+    the next event is that segment's start (when ``t`` is in the gap before
+    it) or its end (when ``t`` is inside it) — the segments are sorted and
+    non-overlapping, so nothing else can intervene.  The walk enters the
+    profile by bisection at ``t0``, skipping the segments already over.
     """
     n_seg = len(segments)
     forwarded = 0.0
     t = t0
-    si = 0
+    si = bisect_right(segments, t0, key=_seg_end)
     guard = 0
     max_iters = 8 * (2 * n_seg + 5) + 64
     while forwarded < volume - _FEPS:

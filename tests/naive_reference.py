@@ -8,6 +8,12 @@ equivalents that must be *bit-identical* in behavior:
 - dict-labeled BFS/Dijkstra search  -> flat-array search with lower-bound
   pruning and inlined probes.
 
+The fluid bandwidth model (BBSA) later went the same way: its sweep and
+lookups scanned segments and arrival pieces from index 0 on every step, and
+now walk monotone pointers entered by bisection.  The linear versions of
+``forward_through_link``, ``probe_step_finish``, ``BandwidthProfile.used_at``
+and ``Cumulative.value`` are kept below as ``naive_*`` functions.
+
 This module keeps the original (seed) algorithms alive so Hypothesis can
 drive both implementations through identical call sequences and compare
 results exactly.  The code is intentionally the straightforward version —
@@ -24,10 +30,17 @@ which restores pre-transaction queue objects).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappop, heappush
 
 from repro.exceptions import RoutingError, SchedulingError
+from repro.linksched.bandwidth import (
+    _FEPS,
+    BandwidthProfile,
+    Cumulative,
+    UsageSegment,
+)
 from repro.linksched.slots import TimeSlot, insert_slot
 from repro.linksched.slots import find_gap as linear_find_gap
 from repro.network.routing import LinkProbe, _check_endpoints
@@ -39,7 +52,11 @@ __all__ = [
     "NaiveLinkScheduleState",
     "linear_find_gap",
     "naive_bfs_route",
+    "naive_cumulative_value",
     "naive_dijkstra_route",
+    "naive_forward_through_link",
+    "naive_probe_step_finish",
+    "naive_used_at",
 ]
 
 
@@ -340,3 +357,210 @@ class NaiveLinkScheduleState:
         queue.rebuild()
         self._vclock += 1
         queue.version = self._vclock
+
+
+# ---------------------------------------------------------------------------
+# Fluid bandwidth model: the linear scans from index 0 that the pointer walks
+# and bisected entries of ``repro.linksched.bandwidth`` replaced.
+# ---------------------------------------------------------------------------
+
+
+def naive_cumulative_value(c: Cumulative, t: float) -> float:
+    """Right-continuous value of ``c`` at ``t``."""
+    pts = c.points
+    if t < pts[0][0]:
+        # Exact breakpoint lookup, not arithmetic.
+        return pts[0][1] if pts[0][0] == t else 0.0  # repro-lint: disable=FLT001
+    if t >= pts[-1][0]:
+        return pts[-1][1]
+    # Linear scan is fine: validation-only path.
+    for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
+        if t0 <= t <= t1:
+            if t == t1:  # repro-lint: disable=FLT001 (exact breakpoint lookup)
+                continue  # prefer the right-most pair at jumps
+            if t1 == t0:
+                continue
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return pts[-1][1]
+
+
+def naive_used_at(profile: BandwidthProfile, t: float) -> float:
+    """Used fraction of ``profile`` at ``t``: a scan from the first segment."""
+    for t0, t1, used in profile.segments:
+        if t0 <= t < t1:
+            return used
+        if t0 > t:
+            break
+    return 0.0
+
+
+def naive_forward_through_link(
+    profile: BandwidthProfile,
+    arrival: Cumulative,
+    speed: float,
+    reserve: bool = False,
+) -> tuple[Cumulative, list[UsageSegment]]:
+    """Greedily forward ``arrival`` through a link of ``speed``.
+
+    Returns ``(departure cumulative, usage segments)``.  ``reserve=True``
+    additionally commits the usage onto ``profile``.
+
+    At every instant the forwarding rate is ``free(t) * speed`` while a
+    backlog exists, otherwise ``min(arrival rate, free(t) * speed)`` — so the
+    departure never exceeds the arrival (cut-through causality) and all spare
+    bandwidth is exploited.
+    """
+    if speed <= 0:
+        raise SchedulingError(f"non-positive link speed {speed}")
+    volume = arrival.final_volume
+    t0 = arrival.start_time
+    if volume <= _FEPS:
+        return Cumulative([(t0, 0.0)]), []
+
+    # Decompose the arrival into jumps and constant-rate pieces.
+    jumps: dict[float, float] = {}
+    rate_pieces: list[tuple[float, float, float]] = []  # (t0, t1, rate)
+    for (ta, va), (tb, vb) in zip(arrival.points, arrival.points[1:]):
+        if tb == ta:
+            if vb > va:
+                jumps[ta] = jumps.get(ta, 0.0) + (vb - va)
+        elif vb > va:
+            rate_pieces.append((ta, tb, (vb - va) / (tb - ta)))
+
+    event_times = sorted(
+        {t0, *jumps, *(t for p in rate_pieces for t in (p[0], p[1])),
+         *(t for t in profile.breakpoints() if t > t0)}
+    )
+
+    def arrival_rate(t: float) -> float:
+        for a, b, r in rate_pieces:
+            if a <= t < b:
+                return r
+        return 0.0
+
+    forwarded = 0.0
+    arrived = 0.0
+    t = t0
+    dep_points: list[tuple[float, float]] = [(t0, 0.0)]
+    usage: list[UsageSegment] = []
+    ei = 0
+    # Consume any jump exactly at t0.
+    arrived += jumps.pop(t0, 0.0)
+    guard = 0
+    max_iters = 8 * (len(event_times) + len(profile.segments) + 4) + 64
+    while forwarded < volume - _FEPS:
+        guard += 1
+        if guard > max_iters:
+            raise SchedulingError(
+                "fluid sweep failed to converge (internal error): "
+                f"forwarded {forwarded} of {volume}"
+            )
+        # Next fixed event after t.
+        while ei < len(event_times) and event_times[ei] <= t:
+            ei += 1
+        horizon = event_times[ei] if ei < len(event_times) else math.inf
+        a = arrival_rate(t)
+        cap = max(0.0, 1.0 - naive_used_at(profile, t)) * speed
+        backlog = arrived - forwarded
+        if backlog > _FEPS:
+            rate = cap
+            t_zero = t + backlog / (cap - a) if cap > a else math.inf
+        else:
+            rate = min(a, cap)
+            t_zero = math.inf
+        t_done = t + (volume - forwarded) / rate if rate > 0 else math.inf
+        t_next = min(horizon, t_zero, t_done)
+        if math.isinf(t_next):
+            raise SchedulingError(
+                "transfer cannot complete: no arrival and no backlog "
+                f"(forwarded {forwarded} of {volume} at t={t})"
+            )
+        if t_next > t:
+            dt = t_next - t
+            forwarded = min(volume, forwarded + rate * dt)
+            arrived = min(volume, arrived + a * dt)
+            if rate > 0:
+                frac = rate / speed
+                # Segments abut exactly: t is copied from the previous finish.
+                if usage and usage[-1].finish == t and abs(usage[-1].fraction - frac) <= _FEPS:  # repro-lint: disable=FLT001
+                    usage[-1] = UsageSegment(usage[-1].start, t_next, usage[-1].fraction)
+                else:
+                    usage.append(UsageSegment(t, t_next, frac))
+            # Always record the breakpoint: a zero-rate span must appear in
+            # the departure curve or interpolation would invent volume there.
+            if dep_points[-1] != (t_next, forwarded):
+                dep_points.append((t_next, forwarded))
+            t = t_next
+        # Apply any jump landing exactly at the new time.
+        if t in jumps:
+            arrived = min(volume, arrived + jumps.pop(t))
+
+    if dep_points[-1][1] < volume:
+        dep_points.append((t, volume))
+    departure = Cumulative(dep_points)
+    if reserve:
+        profile.add_usage(usage)
+    return departure, usage
+
+
+def naive_probe_step_finish(
+    segments: list[tuple[float, float, float]],
+    t0: float,
+    volume: float,
+    speed: float,
+) -> float:
+    """Finish time of a step transfer over ``segments`` — probe-only sweep.
+
+    Replays :func:`forward_through_link` for the special case of a step
+    arrival, where the whole volume is backlogged from ``t0`` on: the
+    forwarding rate is always the free capacity, and the sweep needs no
+    departure curve, no usage segments and no arrival-rate bookkeeping.  It
+    evaluates the same floating-point expressions over the same event times
+    as the general sweep, so the returned finish time is bit-identical to
+    ``forward_through_link(profile, Cumulative.step(t0, volume), speed)``
+    followed by ``departure.finish_time()`` — just without the allocations.
+
+    The general sweep's event set (every segment boundary after ``t0``)
+    collapses to a segment-pointer walk: with ``si`` at the first segment
+    ending after ``t``, the next event is that segment's start (when ``t``
+    is in the gap before it) or its end (when ``t`` is inside it) — the
+    segments are sorted and non-overlapping, so nothing else can intervene.
+    """
+    n_seg = len(segments)
+    forwarded = 0.0
+    t = t0
+    si = 0
+    guard = 0
+    max_iters = 8 * (2 * n_seg + 5) + 64
+    while forwarded < volume - _FEPS:
+        guard += 1
+        if guard > max_iters:
+            raise SchedulingError(
+                "fluid sweep failed to converge (internal error): "
+                f"forwarded {forwarded} of {volume}"
+            )
+        while si < n_seg and segments[si][1] <= t:
+            si += 1
+        if si < n_seg:
+            a, b, u = segments[si]
+            if t < a:
+                horizon = a
+                used = 0.0
+            else:
+                horizon = b
+                used = u
+        else:
+            horizon = math.inf
+            used = 0.0
+        rate = max(0.0, 1.0 - used) * speed
+        t_done = t + (volume - forwarded) / rate if rate > 0 else math.inf
+        t_next = horizon if horizon < t_done else t_done
+        if math.isinf(t_next):
+            raise SchedulingError(
+                "transfer cannot complete: no arrival and no backlog "
+                f"(forwarded {forwarded} of {volume} at t={t})"
+            )
+        if t_next > t:
+            forwarded = min(volume, forwarded + rate * (t_next - t))
+            t = t_next
+    return t

@@ -142,3 +142,23 @@ class TestBandwidthChecks:
                     validate_schedule(s)
                 return
         pytest.skip("no cross-processor edge")
+
+    def test_overcommit_reports_first_booked_link(self, fork8, wan16):
+        from repro.linksched.bandwidth import BandwidthProfile
+
+        s = BBSAScheduler().schedule(fork8, wan16)
+        state = s.bandwidth_state
+        booked = []
+        for e in fork8.edges():
+            for b in state.bookings_of(e.key):
+                if b.lid not in booked:
+                    booked.append(b.lid)
+        if len(booked) < 2:
+            pytest.skip("fewer than two booked links")
+        # Over-commit the first- and last-booked links; the error names the
+        # link met first in edge order, with its own peak usage.
+        state._profiles[booked[-1]] = BandwidthProfile([(0.0, 1.0, 1.75)])
+        state._profiles[booked[0]] = BandwidthProfile([(0.0, 1.0, 1.5)])
+        with pytest.raises(ValidationError) as err:
+            validate_schedule(s)
+        assert str(err.value) == f"link {booked[0]} over-committed: used 1.5"
