@@ -21,6 +21,15 @@ the new transfer iff (formula (3))::
 feasible gap gives the earliest start (Theorem 1); committing shifts the
 affected slots right by exactly the overflow, which the scan guaranteed each
 can absorb.
+
+The scan is bounded: ``t_s(slot n) + accum_n`` never decreases from head to
+tail (``accum_n <= accum_{n+1} + t_s(n+1) - t_f(n)`` and
+``t_s(n) <= t_f(n)``), while the left-hand side of (3) is at least
+``lo + duration'`` for every gap.  Once a slot's availability falls below
+that, no gap further toward the head can be feasible, and the walk stops.
+``_stop_threshold`` widens the test by a rounding allowance; the proof and
+the floating-point argument are in docs/performance.md, "Bounded
+optimal-insertion scan (OIHSA)".
 """
 
 from __future__ import annotations
@@ -62,6 +71,23 @@ def deferrable_time(
         dt = nxt.start - comm.hop_delay - slot.finish
     # Causality guarantees the slack is >= 0; clamp against float fuzz.
     return max(0.0, dt)
+
+
+#: Per-slot rounding allowance of the bounded scan's stop test, relative to
+#: the magnitudes involved: 8 units in the last place (``2**-50``).
+_STOP_ULPS = 2.0**-50
+
+
+def _stop_threshold(lo_finish: float, n: int) -> float:
+    """The scan over an ``n``-slot queue stops at the first rejected slot
+    whose availability plus ``EPS`` lies below this value.
+
+    ``lo_finish`` is ``lo + duration``, the earliest finish any gap can give.
+    Subtracting ``(n + 1) * _STOP_ULPS * (lo_finish + n * EPS)`` covers the
+    rounding the head-ward recursion can add over up to ``n`` slots, so the
+    stop never skips a gap the full scan would accept.
+    """
+    return lo_finish - (n + 1) * _STOP_ULPS * (lo_finish + n * EPS)
 
 
 class OptimalPlacement(NamedTuple):
@@ -120,6 +146,7 @@ def probe_optimal(
     queues = state._queues
     hop = comm.hop_delay
     cut_through = comm.mode == "cut-through"
+    stop_below = _stop_threshold(lo + duration, n)
 
     accum = 0.0
     for i in range(n - 1, -1, -1):
@@ -156,7 +183,8 @@ def probe_optimal(
         prev_finish = finishes[i - 1] if i > 0 else 0.0
         start = prev_finish if prev_finish > lo else lo
         finish = start + duration
-        if finish <= slot_start + accum + EPS:
+        available = slot_start + accum
+        if finish <= available + EPS:
             overflow = finish - slot_start
             if overflow < 0.0:
                 overflow = 0.0
@@ -165,16 +193,19 @@ def probe_optimal(
             best_start = start
             best_finish = finish
             best_overflow = overflow if overflow < accum else accum
-        elif observing:
-            OBS.metrics.counter("optimal.gap_rejections").inc()
-            OBS.emit(
-                "probe_rejected",
-                t=start,
-                lid=lid,
-                index=i,
-                needed=finish,
-                available=slot_start + accum,
-            )
+        else:
+            if observing:
+                OBS.metrics.counter("optimal.gap_rejections").inc()
+                OBS.emit(
+                    "probe_rejected",
+                    t=start,
+                    lid=lid,
+                    index=i,
+                    needed=finish,
+                    available=available,
+                )
+            if available + EPS < stop_below:
+                break  # no gap nearer the head can be feasible
     return OptimalPlacement(best_index, best_start, best_finish, best_overflow)
 
 
@@ -193,13 +224,13 @@ def commit_optimal(
     """
     slots = state.slots(link.lid)
     new_slot = TimeSlot(edge, placement.start, placement.finish)
-    suffix: list[TimeSlot] = [new_slot]
+    moved_run: list[TimeSlot] = [new_slot]
     prev_finish = new_slot.finish
     observing = OBS.on
+    stop = placement.index
     for i in range(placement.index, len(slots)):
         s = slots[i]
         if s.start + EPS >= prev_finish:
-            suffix.extend(slots[i:])
             break
         delta = prev_finish - s.start
         slack = deferrable_time(state, link.lid, s, comm)
@@ -209,8 +240,9 @@ def commit_optimal(
                 f"{delta:.12g} but its causality slack is only {slack:.12g}"
             )
         moved = s.shifted(delta)
-        suffix.append(moved)
+        moved_run.append(moved)
         prev_finish = moved.finish
+        stop = i + 1
         if observing:
             OBS.metrics.counter("optimal.deferrals").inc()
             OBS.metrics.histogram("optimal.deferral_amount").observe(delta)
@@ -223,7 +255,7 @@ def commit_optimal(
                 delta=delta,
                 slack=slack,
             )
-    state.replace_suffix(link.lid, placement.index, suffix)
+    state.replace_range(link.lid, placement.index, stop, moved_run)
 
 
 def _schedule_edge_optimal_fast(
@@ -237,11 +269,11 @@ def _schedule_edge_optimal_fast(
     """Obs-off booking loop: :func:`probe_optimal` + :func:`commit_optimal`
     fused per link.
 
-    Bit-identical to the probe/commit pair — the scan and cascade arithmetic
-    are copied verbatim (including error messages); only the per-link
-    function calls, the :class:`OptimalPlacement` allocations (whose
-    ``overflow`` field the commit never reads), and the observability hooks
-    are dropped.
+    Bit-identical to the probe/commit pair — the scan (with the same stop
+    test) and cascade arithmetic are copied verbatim (including error
+    messages); only the per-link function calls, the
+    :class:`OptimalPlacement` allocations (whose ``overflow`` field the
+    commit never reads), and the observability hooks are dropped.
     """
     if cost < 0:
         raise SchedulingError(f"negative communication cost {cost}")
@@ -270,6 +302,7 @@ def _schedule_edge_optimal_fast(
         best_index = n
         best_start = start
         best_finish = start + duration
+        stop_below = _stop_threshold(lo + duration, n)
         # -- probe scan (see probe_optimal) --
         accum = 0.0
         for i in range(n - 1, -1, -1):
@@ -303,21 +336,24 @@ def _schedule_edge_optimal_fast(
             prev_finish = finishes[i - 1] if i > 0 else 0.0
             start = prev_finish if prev_finish > lo else lo
             fin = start + duration
-            if fin <= slot_start + accum + EPS:
+            available = slot_start + accum
+            if fin <= available + EPS:
                 best_index = i
                 best_start = start
                 best_finish = fin
+            elif available + EPS < stop_below:
+                break
         # -- commit cascade (see commit_optimal) --
         new_slot = TimeSlot(edge, best_start, best_finish)
         if best_index == n:
-            state.replace_suffix(lid, n, [new_slot])
+            state.replace_range(lid, n, n, [new_slot])
         else:
-            suffix: list[TimeSlot] = [new_slot]
+            moved_run: list[TimeSlot] = [new_slot]
             prev_finish = best_finish
+            stop = best_index
             for j in range(best_index, n):
                 s = slots[j]
                 if s.start + EPS >= prev_finish:
-                    suffix.extend(slots[j:])
                     break
                 delta = prev_finish - s.start
                 slack = deferrable_time(state, lid, s, comm)
@@ -327,9 +363,10 @@ def _schedule_edge_optimal_fast(
                         f"{delta:.12g} but its causality slack is only {slack:.12g}"
                     )
                 moved = s.shifted(delta)
-                suffix.append(moved)
+                moved_run.append(moved)
                 prev_finish = moved.finish
-            state.replace_suffix(lid, best_index, suffix)
+                stop = j + 1
+            state.replace_range(lid, best_index, stop, moved_run)
         finish = best_finish
         if cut_through:
             est = best_start + hop

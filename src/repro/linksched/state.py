@@ -57,7 +57,7 @@ _EMPTY_ARRAYS: tuple[list[TimeSlot], list[float], list[float]] = ([], [], [])
 
 # Undo-log entry tags (first tuple element).
 _OP_INSERT = 0  # (tag, lid, index)                 -> remove slots[index]
-_OP_SUFFIX = 1  # (tag, lid, index, old_suffix)     -> restore slots[index:]
+_OP_RANGE = 1   # (tag, lid, start, stop, old)      -> restore slots[start:stop] to old
 _OP_ROUTE = 2   # (tag, edge, route)                -> forget the route
 
 
@@ -106,16 +106,16 @@ class LinkScheduleState:
                 del queue.finishes[index]
                 del queue.by_edge[slot.edge]
                 queue.version += 1
-            elif tag == _OP_SUFFIX:
-                _, lid, index, old_suffix = entry
+            elif tag == _OP_RANGE:
+                _, lid, start, stop, old = entry
                 queue = queues[lid]
-                for s in queue.slots[index:]:
+                for s in queue.slots[start:stop]:
                     del queue.by_edge[s.edge]
-                for s in old_suffix:
+                for s in old:
                     queue.by_edge[s.edge] = s
-                queue.slots[index:] = old_suffix
-                queue.starts[index:] = [s.start for s in old_suffix]
-                queue.finishes[index:] = [s.finish for s in old_suffix]
+                queue.slots[start:stop] = old
+                queue.starts[start:stop] = [s.start for s in old]
+                queue.finishes[start:stop] = [s.finish for s in old]
                 queue.version += 1
             else:  # _OP_ROUTE
                 _, edge, route = entry
@@ -238,40 +238,51 @@ class LinkScheduleState:
         if self._undo is not None:
             self._undo.append((_OP_INSERT, lid, index))
 
-    def replace_suffix(self, lid: LinkId, index: int, new_suffix: list[TimeSlot]) -> None:
-        """Replace ``slots[index:]`` — used by OIHSA's deferral cascade.
+    def replace_range(
+        self, lid: LinkId, start: int, stop: int, new: list[TimeSlot]
+    ) -> None:
+        """Replace ``slots[start:stop]`` with ``new`` — OIHSA's deferral commit.
 
-        The new suffix may contain one new slot plus deferred (shifted) copies
-        of the old ones; the ``by_edge`` index is rebuilt for affected edges.
+        ``new`` holds the booked slot plus the shifted copies of the slots the
+        cascade moved; slots outside ``[start, stop)`` are left untouched.  The
+        ``by_edge`` index is updated for the replaced edges only, and one undo
+        entry restores the old range.
         """
         queue = self._queue(lid)
-        if index == len(queue.slots) and len(new_suffix) == 1:
+        slots = queue.slots
+        by_edge = queue.by_edge
+        k = len(slots)
+        if not 0 <= start <= stop <= k:
+            raise SchedulingError(
+                f"slot range [{start}, {stop}) outside the {k}-slot queue of link {lid}"
+            )
+        if start == k and len(new) == 1:
             # Plain append — by far the most common deferral-free commit.
-            s = new_suffix[0]
-            if s.edge in queue.by_edge:
+            s = new[0]
+            if s.edge in by_edge:
                 raise SchedulingError(f"edge {s.edge} booked twice on link {lid}")
-            queue.by_edge[s.edge] = s
-            queue.slots.append(s)
+            by_edge[s.edge] = s
+            slots.append(s)
             queue.starts.append(s.start)
             queue.finishes.append(s.finish)
             queue.version += 1
             if self._undo is not None:
-                self._undo.append((_OP_SUFFIX, lid, index, []))
+                self._undo.append((_OP_RANGE, lid, k, k + 1, []))
             return
-        old_suffix = queue.slots[index:]
-        removed = {s.edge for s in old_suffix}
+        old = slots[start:stop]
+        removed = {s.edge for s in old}
         seen: set[EdgeKey] = set()
-        for s in new_suffix:
-            if (s.edge in queue.by_edge and s.edge not in removed) or s.edge in seen:
+        for s in new:
+            if (s.edge in by_edge and s.edge not in removed) or s.edge in seen:
                 raise SchedulingError(f"edge {s.edge} booked twice on link {lid}")
             seen.add(s.edge)
-        for s in old_suffix:
-            del queue.by_edge[s.edge]
-        for s in new_suffix:
-            queue.by_edge[s.edge] = s
-        queue.slots[index:] = new_suffix
-        queue.starts[index:] = [s.start for s in new_suffix]
-        queue.finishes[index:] = [s.finish for s in new_suffix]
+        for s in old:
+            del by_edge[s.edge]
+        for s in new:
+            by_edge[s.edge] = s
+        slots[start:stop] = new
+        queue.starts[start:stop] = [s.start for s in new]
+        queue.finishes[start:stop] = [s.finish for s in new]
         queue.version += 1
         if self._undo is not None:
-            self._undo.append((_OP_SUFFIX, lid, index, old_suffix))
+            self._undo.append((_OP_RANGE, lid, start, start + len(new), old))

@@ -12,7 +12,11 @@ The fluid bandwidth model (BBSA) later went the same way: its sweep and
 lookups scanned segments and arrival pieces from index 0 on every step, and
 now walk monotone pointers entered by bisection.  The linear versions of
 ``forward_through_link``, ``probe_step_finish``, ``BandwidthProfile.used_at``
-and ``Cumulative.value`` are kept below as ``naive_*`` functions.
+and ``Cumulative.value`` are kept below as ``naive_*`` functions.  So is
+OIHSA's optimal insertion as it was before its scan was bounded and its
+commit narrowed to the moved slots: ``naive_probe_optimal`` walks every
+queued slot from tail to head, and ``naive_commit_optimal`` rewrites the
+whole queue suffix.
 
 This module keeps the original (seed) algorithms alive so Hypothesis can
 drive both implementations through identical call sequences and compare
@@ -41,21 +45,27 @@ from repro.linksched.bandwidth import (
     Cumulative,
     UsageSegment,
 )
+from repro.linksched.commmodel import CUT_THROUGH, CommModel
+from repro.linksched.optimal_insertion import OptimalPlacement, deferrable_time
 from repro.linksched.slots import TimeSlot, insert_slot
 from repro.linksched.slots import find_gap as linear_find_gap
+from repro.linksched.state import LinkScheduleState
 from repro.network.routing import LinkProbe, _check_endpoints
 from repro.network.topology import Link, NetworkTopology, Route
 from repro.obs import OBS
-from repro.types import EdgeKey, LinkId, VertexId
+from repro.types import EPS, EdgeKey, LinkId, VertexId
 
 __all__ = [
     "NaiveLinkScheduleState",
     "linear_find_gap",
     "naive_bfs_route",
+    "naive_commit_optimal",
     "naive_cumulative_value",
     "naive_dijkstra_route",
     "naive_forward_through_link",
+    "naive_probe_optimal",
     "naive_probe_step_finish",
+    "naive_schedule_edge_optimal",
     "naive_used_at",
 ]
 
@@ -342,21 +352,210 @@ class NaiveLinkScheduleState:
         self._vclock += 1
         queue.version = self._vclock
 
-    def replace_suffix(
-        self, lid: LinkId, index: int, new_suffix: list[TimeSlot]
+    def replace_range(
+        self, lid: LinkId, start: int, stop: int, new: list[TimeSlot]
     ) -> None:
         queue = self._writable(lid)
-        old_suffix = queue.slots[index:]
-        for s in old_suffix:
+        if not 0 <= start <= stop <= len(queue.slots):
+            raise SchedulingError(
+                f"slot range [{start}, {stop}) outside the "
+                f"{len(queue.slots)}-slot queue of link {lid}"
+            )
+        for s in queue.slots[start:stop]:
             del queue.by_edge[s.edge]
-        for s in new_suffix:
+        for s in new:
             if s.edge in queue.by_edge:
                 raise SchedulingError(f"edge {s.edge} booked twice on link {lid}")
             queue.by_edge[s.edge] = s
-        queue.slots[index:] = new_suffix
+        queue.slots[start:stop] = new
         queue.rebuild()
         self._vclock += 1
         queue.version = self._vclock
+
+
+# ---------------------------------------------------------------------------
+# OIHSA optimal insertion: the full tail-to-head scan and whole-suffix commit
+# that the bounded scan and the range commit replaced.
+# ---------------------------------------------------------------------------
+
+
+
+def naive_probe_optimal(
+    state: LinkScheduleState,
+    link: Link,
+    cost: float,
+    est: float,
+    min_finish: float = 0.0,
+    comm: CommModel = CUT_THROUGH,
+) -> OptimalPlacement:
+    """Earliest placement on ``link`` allowing deferral of existing slots.
+
+    Pure (no commit).  Falls back to appending after the last slot when no
+    deferral-assisted gap is feasible — the append position is never better
+    than a feasible insertion, so the scan keeps the head-most feasible gap.
+    """
+    if cost < 0:
+        raise SchedulingError(f"negative communication cost {cost}")
+    observing = OBS.on
+    if observing:
+        OBS.metrics.counter("optimal.probes").inc()
+    duration = cost / link.speed
+    lid = link.lid
+    queue = state._queues.get(lid)
+    if queue is None:
+        slots, starts, finishes = (), (), ()
+    else:
+        slots, starts, finishes = queue.slots, queue.starts, queue.finishes
+    n = len(slots)
+    floor = min_finish - duration
+    lo = est if est >= floor else floor  # == max(est, min_finish - duration)
+
+    # Tail placement is always feasible.  The best candidate is tracked in
+    # plain locals; the OptimalPlacement is built once on return.
+    tail_prev = finishes[-1] if n else 0.0
+    start = tail_prev if tail_prev > lo else lo
+    best_index = n
+    best_start = start
+    best_finish = start + duration
+    best_overflow = 0.0
+
+    # The scan calls the Lemma-2 slack once per queued slot; inline
+    # :func:`deferrable_time` (same arithmetic) with the state's internals
+    # hoisted, falling back to the methods only to raise their proper errors.
+    next_link_map = state._next_link
+    queues = state._queues
+    hop = comm.hop_delay
+    cut_through = comm.mode == "cut-through"
+
+    accum = 0.0
+    for i in range(n - 1, -1, -1):
+        slot_start = starts[i]
+        gap_after = (starts[i + 1] - finishes[i]) if i + 1 < n else math.inf
+        room = accum + gap_after
+        if room == 0.0:  # repro-lint: disable=FLT001 (exact-zero fast path)
+            # ``min(dt, 0.0)`` is 0.0 for any slack (clamped >= 0), so the
+            # slack lookups can be skipped — back-to-back slots, the common
+            # case in packed queue tails, all take this branch.
+            accum = 0.0
+        else:
+            s = slots[i]
+            try:
+                next_lid = next_link_map[(s.edge, lid)]
+            except KeyError:
+                next_lid = state.next_link_of(s.edge, lid)  # raises the seed error
+            if next_lid is None:
+                dt = 0.0
+            else:
+                try:
+                    nxt = queues[next_lid].by_edge[s.edge]
+                except KeyError:
+                    nxt = state.slot_of(s.edge, next_lid)  # raises the seed error
+                if cut_through:
+                    dt = min(
+                        nxt.start - hop - s.start,
+                        nxt.finish - hop - s.finish,
+                    )
+                else:
+                    dt = nxt.start - hop - s.finish
+                dt = max(0.0, dt)
+            accum = dt if dt < room else room
+        prev_finish = finishes[i - 1] if i > 0 else 0.0
+        start = prev_finish if prev_finish > lo else lo
+        finish = start + duration
+        if finish <= slot_start + accum + EPS:
+            overflow = finish - slot_start
+            if overflow < 0.0:
+                overflow = 0.0
+            # Head-most feasible gap == earliest start: keep scanning.
+            best_index = i
+            best_start = start
+            best_finish = finish
+            best_overflow = overflow if overflow < accum else accum
+        elif observing:
+            OBS.metrics.counter("optimal.gap_rejections").inc()
+            OBS.emit(
+                "probe_rejected",
+                t=start,
+                lid=lid,
+                index=i,
+                needed=finish,
+                available=slot_start + accum,
+            )
+    return OptimalPlacement(best_index, best_start, best_finish, best_overflow)
+
+
+def naive_commit_optimal(
+    state: LinkScheduleState,
+    link: Link,
+    edge: EdgeKey,
+    placement: OptimalPlacement,
+    comm: CommModel = CUT_THROUGH,
+) -> None:
+    """Apply a placement: insert the new slot and cascade deferrals.
+
+    Each pushed slot's individual shift is asserted against its Lemma-2 slack
+    (an internal invariant; a violation means the probe's ``accum`` math and
+    the commit disagree — a bug, not a user error).
+    """
+    slots = state.slots(link.lid)
+    new_slot = TimeSlot(edge, placement.start, placement.finish)
+    suffix: list[TimeSlot] = [new_slot]
+    prev_finish = new_slot.finish
+    observing = OBS.on
+    for i in range(placement.index, len(slots)):
+        s = slots[i]
+        if s.start + EPS >= prev_finish:
+            suffix.extend(slots[i:])
+            break
+        delta = prev_finish - s.start
+        slack = deferrable_time(state, link.lid, s, comm)
+        if delta > slack + EPS:
+            raise SchedulingError(
+                f"deferral cascade pushed edge {s.edge} on link {link.lid} by "
+                f"{delta:.12g} but its causality slack is only {slack:.12g}"
+            )
+        moved = s.shifted(delta)
+        suffix.append(moved)
+        prev_finish = moved.finish
+        if observing:
+            OBS.metrics.counter("optimal.deferrals").inc()
+            OBS.metrics.histogram("optimal.deferral_amount").observe(delta)
+            OBS.emit(
+                "slot_deferred",
+                t=moved.start,
+                lid=link.lid,
+                edge=list(s.edge),
+                for_edge=list(edge),
+                delta=delta,
+                slack=slack,
+            )
+    # The seed rewrote the whole suffix; ``replace_range`` to the queue end
+    # is the same write.
+    state.replace_range(link.lid, placement.index, len(slots), suffix)
+
+
+def naive_schedule_edge_optimal(
+    state: LinkScheduleState,
+    edge: EdgeKey,
+    route: Route,
+    cost: float,
+    ready_time: float,
+    comm: CommModel = CUT_THROUGH,
+) -> float:
+    """Book ``edge`` along ``route`` link by link with the full scan above."""
+    if not route or cost <= 0:
+        state.record_route(edge, ())
+        return ready_time
+    state.record_route(edge, tuple(l.lid for l in route))
+    est = ready_time
+    min_finish = 0.0
+    finish = ready_time
+    for link in route:
+        placement = naive_probe_optimal(state, link, cost, est, min_finish, comm)
+        naive_commit_optimal(state, link, edge, placement, comm)
+        finish = placement.finish
+        est, min_finish = comm.next_constraints(placement.start, finish)
+    return finish
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ class TestTransactions:
         state = make_state()
         before = list(state.slots(0))
         state.begin()
-        state.replace_suffix(0, 0, [TimeSlot((2, 3), 0.0, 1.0), TimeSlot((0, 1), 1.0, 3.0)])
+        state.replace_range(0, 0, 1, [TimeSlot((2, 3), 0.0, 1.0), TimeSlot((0, 1), 1.0, 3.0)])
         state.rollback()
         assert state.slots(0) == before
         assert state.slot_of((0, 1), 0).start == 0.0
@@ -122,13 +122,13 @@ class TestReplaceSuffix:
     def test_replace_updates_index(self):
         state = make_state()
         moved = TimeSlot((0, 1), 1.0, 3.0)
-        state.replace_suffix(0, 0, [TimeSlot((7, 8), 0.0, 1.0), moved])
+        state.replace_range(0, 0, 1, [TimeSlot((7, 8), 0.0, 1.0), moved])
         assert state.slot_of((0, 1), 0) is moved
         assert state.slot_of((7, 8), 0).start == 0.0
 
     def test_replace_rejects_duplicate_edges(self):
         state = make_state()
         with pytest.raises(SchedulingError):
-            state.replace_suffix(
-                0, 0, [TimeSlot((7, 8), 0.0, 1.0), TimeSlot((7, 8), 2.0, 3.0)]
+            state.replace_range(
+                0, 0, 1, [TimeSlot((7, 8), 0.0, 1.0), TimeSlot((7, 8), 2.0, 3.0)]
             )
