@@ -1,10 +1,10 @@
 """OBS001: observability emissions on hot paths must be ``OBS.on``-guarded.
 
 PR 1 made instrumentation free when disabled by guarding every emission site
-with a single attribute test, and PR 3's fused fast paths rely on that
-discipline: an unguarded ``OBS.emit`` or counter bump builds its payload
-(string formatting, dict allocation) on every probe even when observability
-is off, quietly costing the >2x speedups back.
+with a single attribute test, and the hot paths rely on that discipline
+because obs on and obs off run the same code: an unguarded ``OBS.emit`` or
+counter bump builds its payload (string formatting, dict allocation) on
+every probe even when observability is off.
 
 "Guarded" is a *dominance* question, answered on the function's CFG
 (:mod:`repro.analysis.cfg`): an emission is guarded when its node is
@@ -265,7 +265,7 @@ class ObsGuardRule(Rule):
     rationale = (
         "The obs-off discipline (PR 1/PR 3): disabled instrumentation must "
         "cost one attribute test.  An unguarded emit/counter call allocates "
-        "its payload on every probe, regressing the fused fast paths.  "
+        "its payload on every probe of the production hot paths.  "
         "Guardedness is dominance by the guarding arm of an OBS.on test on "
         "the function's CFG."
     )

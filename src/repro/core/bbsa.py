@@ -22,7 +22,9 @@ from repro.linksched.bandwidth import (
     probe_step_finish,
 )
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
-from repro.network.routing import _check_endpoints, bfs_route, dijkstra_route
+from repro.network.routing import _check_endpoints, _settle_route, bfs_route
+# Unused here; kept bound because perfbench/tracing.py wraps bbsa.dijkstra_route.
+from repro.network.routing import dijkstra_route  # noqa: F401
 from repro.network.topology import Link, NetworkTopology, Route, Vertex
 from repro.obs import OBS, span
 from repro.procsched.state import ProcessorState
@@ -39,14 +41,15 @@ def _dijkstra_fluid(
     profiles: dict[LinkId, BandwidthProfile],
     tiny: bool,
 ) -> Route:
-    """Obs-off specialization of :func:`repro.network.routing.dijkstra_route`
-    with BBSA's fluid step-arrival probe inlined into the relax loop.
+    """BBSA's contention-aware routing (paper §5): Dijkstra on arrival times.
 
-    Bit-identical routes to the closure-driven generic loop in
-    :meth:`BBSAScheduler._route`: same labels, same tie-breaks, same two
-    lower-bound prunes — only the closure calls, counter hooks, and the
-    provably hit-free within-round memo lookups are removed (see
-    :func:`repro.core.oihsa._dijkstra_indexed` for the argument).
+    Relaxing a link runs the fluid step-arrival probe
+    (:func:`repro.linksched.bandwidth.probe_step_finish`) over the link's
+    bandwidth profile; ``tiny`` volumes (``<= _FEPS``) arrive at once.  Same
+    labels, tie-breaks, lower-bound prunes and local work counts as
+    :func:`repro.core.oihsa._dijkstra_indexed`; ``bandwidth.probes`` ticks
+    once per relaxation when :func:`repro.network.routing._settle_route`
+    flushes.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -64,6 +67,8 @@ def _dijkstra_fluid(
     out_links = net.sorted_out_links
     profiles_get = profiles.get
     best_dst = inf
+    relaxations = 0
+    cutoffs = 0
     while heap:
         d, hops, u = heappop(heap)
         if done[u]:
@@ -75,12 +80,13 @@ def _dijkstra_fluid(
         for link, v in out_links(u):
             if done[v]:
                 continue
+            relaxations += 1
             cur_t = dist_t[v]
             lb = d + cost / link.speed
             if cur_t != inf or best_dst != inf:
                 if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
+                    cutoffs += 1
                     continue
-            # Inlined fluid probe (same arithmetic as ``_route``'s closure).
             if tiny:
                 arrival = d
             else:
@@ -97,17 +103,10 @@ def _dijkstra_fluid(
                 heappush(heap, (arrival, nh, v))
                 if v == dst:
                     best_dst = arrival
-    if parent_l[dst] is None:
-        raise RoutingError(
-            f"no route from processor {src} to {dst} in topology {net.name!r}"
-        )
-    route = []
-    cur = dst
-    while cur != src:
-        route.append(parent_l[cur])
-        cur = parent_v[cur]
-    route.reverse()
-    return route
+    return _settle_route(
+        net, src, dst, parent_v, parent_l, dist_t[dst], relaxations, cutoffs,
+        "bandwidth.probes",
+    )
 
 
 class BBSAScheduler(ContentionScheduler):
@@ -122,25 +121,21 @@ class BBSAScheduler(ContentionScheduler):
         modified_routing: bool = True,
         edge_priority: bool = True,
         local_comm_exempt: bool = True,
-        probe_cache: bool = True,
         comm: CommModel = CUT_THROUGH,
     ) -> None:
         self.task_insertion = task_insertion
         self.modified_routing = modified_routing
         self.edge_priority = edge_priority
         self.local_comm_exempt = local_comm_exempt
-        self.probe_cache = probe_cache
         self.comm = comm
         self._bstate = BandwidthLinkState()
         self._arrivals: dict[EdgeKey, float] = {}
         self._mls = 1.0
-        self._probe_memo: dict[tuple, float] = {}
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
         self._bstate = BandwidthLinkState()
         self._arrivals = {}
         self._mls = net.mean_link_speed() if net.num_links else 1.0
-        self._probe_memo = {}
 
     def _route(
         self, net: NetworkTopology, src: int, dst: int, cost: float, ready: float
@@ -149,63 +144,11 @@ class BBSAScheduler(ContentionScheduler):
             with span("routing"):
                 return bfs_route(net, src, dst)
 
-        bstate = self._bstate
-        if not self.probe_cache:
-            def probe(link: Link, t: float) -> float:
-                if OBS.on:
-                    OBS.metrics.counter("bandwidth.probes").inc()
-                return bstate.probe_link(link, cost, t)
-
-            with span("routing"):
-                return dijkstra_route(net, src, dst, ready, probe)
-
         if cost < 0:
             raise SchedulingError(f"negative volume {cost}")
-        memo = self._probe_memo
-        # Hot path: skip per-probe method dispatch into the bandwidth state.
-        versions = bstate._versions
-        profiles = bstate._profiles
-        tiny = cost <= _FEPS
-
-        if OBS.on:
-            # Ticks once per relaxation — exactly where the uncached probe
-            # incremented it — so ``bandwidth.probes`` is unchanged by
-            # caching.
-            probes_c = OBS.metrics.counter("bandwidth.probes")
-            misses_c = OBS.metrics.counter("routing.probe_cache_misses")
-            hits_c = OBS.metrics.counter("routing.probe_cache_hits")
-
-            def lower_bound(link: Link, t: float) -> float:
-                probes_c.inc()
-                return t + cost / link.speed
-
-            def probe(link: Link, t: float) -> float:
-                key = (link.lid, versions.get(link.lid, 0), t, cost)
-                finish = memo.get(key)
-                if finish is None:
-                    if tiny:
-                        finish = t
-                    else:
-                        prof = profiles.get(link.lid)
-                        finish = probe_step_finish(
-                            prof.segments if prof is not None else (),
-                            t, cost, link.speed,
-                        )
-                    memo[key] = finish
-                    misses_c.inc()
-                else:
-                    hits_c.inc()
-                return finish
-        else:
-            # Obs-off fast path: the fully inlined loop (memo lookup skipped
-            # — provably a no-op, each link is relaxed exactly once per
-            # ``dijkstra_route`` round so a within-round memo can never hit;
-            # see the OIHSA probe for the full argument).
-            with span("routing"):
-                return _dijkstra_fluid(net, src, dst, ready, cost, profiles, tiny)
-
+        profiles = self._bstate._profiles  # read-only: probes read the segment lists
         with span("routing"):
-            return dijkstra_route(net, src, dst, ready, probe, lower_bound)
+            return _dijkstra_fluid(net, src, dst, ready, cost, profiles, cost <= _FEPS)
 
     def _place_task(
         self,

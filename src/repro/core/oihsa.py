@@ -25,10 +25,12 @@ from repro.core.base import ContentionScheduler
 from repro.core.schedule import Schedule
 from repro.exceptions import RoutingError, SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
-from repro.linksched.insertion import probe_basic, schedule_edge_basic
+from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.optimal_insertion import schedule_edge_optimal
 from repro.linksched.state import LinkScheduleState, _LinkQueue  # repro-lint: disable=TXN001 (type-only use below)
-from repro.network.routing import _check_endpoints, bfs_route, dijkstra_route
+from repro.network.routing import _check_endpoints, _settle_route, bfs_route
+# Unused here; kept bound because perfbench/tracing.py wraps oihsa.dijkstra_route.
+from repro.network.routing import dijkstra_route  # noqa: F401
 from repro.network.topology import Link, NetworkTopology, Route, Vertex
 from repro.obs import OBS, span
 from repro.procsched.state import ProcessorState
@@ -44,15 +46,23 @@ def _dijkstra_indexed(
     cost: float,
     queues: dict[LinkId, _LinkQueue],  # repro-lint: disable=TXN001 (type annotation only)
 ) -> Route:
-    """Obs-off specialization of :func:`repro.network.routing.dijkstra_route`
-    with OIHSA's indexed-queue gap probe inlined into the relax loop.
+    """OIHSA's modified routing (paper §4.3): Dijkstra on arrival times.
 
-    Produces bit-identical routes to the generic loop driven by the closure
-    probes in :meth:`OIHSAScheduler._route`: same labels (the probe arithmetic
-    is copied verbatim), same ``(arrival, hops, vid)`` tie-breaks, and the
-    same two lower-bound prunes (target-label and destination-label) — only
-    the per-relaxation closure calls, the per-relaxation counter hooks, and
-    the provably hit-free within-round memo lookups are gone.
+    Relaxing a link probes its indexed queue for the earliest gap that fits
+    ``cost / speed`` after the tail vertex's label (basic insertion, inlined).
+    Labels and ``(arrival, hops, vid)`` tie-breaks are those of
+    :func:`repro.network.routing.dijkstra_route`.
+
+    The contention-free finish ``lb = d + duration`` never exceeds the
+    probed one, so the probe is skipped when ``lb`` cannot improve the
+    target's label: the real arrival could not have either.  It is also
+    skipped when ``lb`` is *strictly* above the destination's label: that
+    update would give its target a label popping only after ``dst``, where
+    the search stops, so neither the popped sequence nor the route changes
+    (ties are never pruned — an equal-arrival label with fewer hops can
+    still pop first).  Relaxations and these cutoffs are counted in locals;
+    ``insertion.probes`` ticks once per relaxation when
+    :func:`repro.network.routing._settle_route` flushes.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -70,6 +80,8 @@ def _dijkstra_indexed(
     out_links = net.sorted_out_links
     queues_get = queues.get
     best_dst = inf
+    relaxations = 0
+    cutoffs = 0
     while heap:
         d, hops, u = heappop(heap)
         if done[u]:
@@ -81,13 +93,16 @@ def _dijkstra_indexed(
         for link, v in out_links(u):
             if done[v]:
                 continue
+            relaxations += 1
             cur_t = dist_t[v]
             duration = cost / link.speed
             lb = d + duration
             if cur_t != inf or best_dst != inf:
                 if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
+                    cutoffs += 1
                     continue
-            # Inlined gap probe (same arithmetic as ``_route``'s closure).
+            # Gap probe: ``find_gap_indexed`` with ``min_finish=0``, whose
+            # start floor ``max(est, -duration)`` collapses to ``est``.
             q = queues_get(link.lid)
             if q is None:
                 arrival = lb
@@ -95,7 +110,7 @@ def _dijkstra_indexed(
                 starts = q.starts
                 finishes = q.finishes
                 k = len(starts)
-                i = bisect_left(starts, lb)  # lb == d + duration
+                i = bisect_left(starts, lb)
                 prev_finish = finishes[i - 1] if i > 0 else 0.0
                 while True:
                     start = prev_finish if prev_finish > d else d
@@ -112,17 +127,10 @@ def _dijkstra_indexed(
                 heappush(heap, (arrival, nh, v))
                 if v == dst:
                     best_dst = arrival
-    if parent_l[dst] is None:
-        raise RoutingError(
-            f"no route from processor {src} to {dst} in topology {net.name!r}"
-        )
-    route = []
-    cur = dst
-    while cur != src:
-        route.append(parent_l[cur])
-        cur = parent_v[cur]
-    route.reverse()
-    return route
+    return _settle_route(
+        net, src, dst, parent_v, parent_l, dist_t[dst], relaxations, cutoffs,
+        "insertion.probes",
+    )
 
 
 class OIHSAScheduler(ContentionScheduler):
@@ -138,7 +146,6 @@ class OIHSAScheduler(ContentionScheduler):
         optimal_insertion: bool = True,
         edge_priority: bool = True,
         local_comm_exempt: bool = True,
-        probe_cache: bool = True,
         comm: CommModel = CUT_THROUGH,
     ) -> None:
         """The boolean knobs exist for the paper's ablations; the defaults
@@ -148,18 +155,15 @@ class OIHSAScheduler(ContentionScheduler):
         self.optimal_insertion = optimal_insertion
         self.edge_priority = edge_priority
         self.local_comm_exempt = local_comm_exempt
-        self.probe_cache = probe_cache
         self.comm = comm
         self._lstate = LinkScheduleState()
         self._arrivals: dict[EdgeKey, float] = {}
         self._mls = 1.0
-        self._probe_memo: dict[tuple, float] = {}
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
         self._lstate = LinkScheduleState()
         self._arrivals = {}
         self._mls = net.mean_link_speed() if net.num_links else 1.0
-        self._probe_memo = {}
 
     # -- routing + booking --------------------------------------------------
 
@@ -175,78 +179,12 @@ class OIHSAScheduler(ContentionScheduler):
             with span("routing"):
                 return bfs_route(net, src, dst)
 
-        lstate = self._lstate
-        if not self.probe_cache:
-            def probe(link: Link, t: float) -> float:
-                _, _, finish = probe_basic(lstate, link, cost, t)
-                return finish
-
-            with span("routing"):
-                return dijkstra_route(net, src, dst, ready, probe)
-
         if cost < 0:
             raise SchedulingError(f"negative communication cost {cost}")
-        memo = self._probe_memo
+        lstate = self._lstate
         queues = lstate._queues  # hot path: skip per-probe method dispatch
-
-        if OBS.on:
-            # The contention-free bound is consulted on *every* relaxation,
-            # so the probe-attempt counter lives here (one tick per
-            # relaxation, exactly as when every relaxation called
-            # ``probe_basic``).
-            probes_c = OBS.metrics.counter("insertion.probes")
-            misses_c = OBS.metrics.counter("routing.probe_cache_misses")
-            hits_c = OBS.metrics.counter("routing.probe_cache_hits")
-
-            def lower_bound(link: Link, t: float) -> float:
-                probes_c.inc()
-                return t + cost / link.speed
-
-            def probe(link: Link, t: float) -> float:
-                # Miss path inlines ``find_gap_indexed`` with ``min_finish=0``:
-                # the start floor ``max(est, -duration)`` collapses to ``est``
-                # (both operands non-negative here), and only the finish is
-                # needed.
-                lid = link.lid
-                q = queues.get(lid)
-                key = (lid, q.version if q is not None else 0, t, cost)
-                finish = memo.get(key)
-                if finish is not None:
-                    hits_c.inc()
-                    return finish
-                duration = cost / link.speed
-                if q is None:
-                    finish = t + duration
-                else:
-                    starts = q.starts
-                    finishes = q.finishes
-                    n = len(starts)
-                    i = bisect_left(starts, t + duration)
-                    prev_finish = finishes[i - 1] if i > 0 else 0.0
-                    while True:
-                        start = prev_finish if prev_finish > t else t
-                        finish = start + duration
-                        if i >= n or finish <= starts[i]:
-                            break
-                        prev_finish = finishes[i]
-                        i += 1
-                memo[key] = finish
-                misses_c.inc()
-                return finish
-        else:
-            # Obs-off fast path: the fully inlined loop.  Skipping the memo
-            # lookup there is *provably* a no-op, not a behavior change:
-            # within one ``dijkstra_route`` round each link is relaxed
-            # exactly once (from its settled tail vertex), so a within-round
-            # memo can never hit; and a cross-round hit, were one possible,
-            # would return the bit-identical value the probe recomputes
-            # (entries are keyed by the queue version, so stale hits cannot
-            # occur).
-            with span("routing"):
-                return _dijkstra_indexed(net, src, dst, ready, cost, queues)
-
         with span("routing"):
-            return dijkstra_route(net, src, dst, ready, probe, lower_bound)
+            return _dijkstra_indexed(net, src, dst, ready, cost, queues)
 
     def _place_task(
         self,

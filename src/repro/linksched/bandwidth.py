@@ -407,8 +407,6 @@ class BandwidthLinkState:
     _profiles: dict[LinkId, BandwidthProfile] = field(default_factory=dict)
     _bookings: dict[EdgeKey, list[TransferBooking]] = field(default_factory=dict)
     _routes: dict[EdgeKey, tuple[LinkId, ...]] = field(default_factory=dict)
-    #: monotone per-link mutation counters (probe-memo invalidation keys)
-    _versions: dict[LinkId, int] = field(default_factory=dict)
     _txn_profiles: dict[LinkId, BandwidthProfile] | None = None
     _txn_edges: list[EdgeKey] | None = None
 
@@ -431,7 +429,6 @@ class BandwidthLinkState:
             raise SchedulingError("no open bandwidth transaction")
         for lid, original in self._txn_profiles.items():
             self._profiles[lid] = original
-            self._versions[lid] = self._versions.get(lid, 0) + 1
         for edge in self._txn_edges:
             self._bookings.pop(edge, None)
             self._routes.pop(edge, None)
@@ -443,12 +440,7 @@ class BandwidthLinkState:
         prof = self._profiles.get(lid)
         return prof if prof is not None else BandwidthProfile()
 
-    def version(self, lid: LinkId) -> int:
-        """Monotone mutation counter of the link's profile (0 if untouched)."""
-        return self._versions.get(lid, 0)
-
     def _writable_profile(self, lid: LinkId) -> BandwidthProfile:
-        self._versions[lid] = self._versions.get(lid, 0) + 1
         prof = self._profiles.get(lid)
         if prof is None:
             prof = BandwidthProfile()

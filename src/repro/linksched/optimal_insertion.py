@@ -149,6 +149,7 @@ def probe_optimal(
     stop_below = _stop_threshold(lo + duration, n)
 
     accum = 0.0
+    rejections = 0
     for i in range(n - 1, -1, -1):
         slot_start = starts[i]
         gap_after = (starts[i + 1] - finishes[i]) if i + 1 < n else math.inf
@@ -195,7 +196,7 @@ def probe_optimal(
             best_overflow = overflow if overflow < accum else accum
         else:
             if observing:
-                OBS.metrics.counter("optimal.gap_rejections").inc()
+                rejections += 1
                 OBS.emit(
                     "probe_rejected",
                     t=start,
@@ -206,6 +207,8 @@ def probe_optimal(
                 )
             if available + EPS < stop_below:
                 break  # no gap nearer the head can be feasible
+    if observing and rejections:
+        OBS.metrics.counter("optimal.gap_rejections").inc(rejections)
     return OptimalPlacement(best_index, best_start, best_finish, best_overflow)
 
 
@@ -222,21 +225,23 @@ def commit_optimal(
     (an internal invariant; a violation means the probe's ``accum`` math and
     the commit disagree — a bug, not a user error).
     """
-    slots = state.slots(link.lid)
+    lid = link.lid
+    index = placement.index
+    slots = state.slots(lid)
     new_slot = TimeSlot(edge, placement.start, placement.finish)
     moved_run: list[TimeSlot] = [new_slot]
     prev_finish = new_slot.finish
     observing = OBS.on
-    stop = placement.index
-    for i in range(placement.index, len(slots)):
+    stop = index
+    for i in range(index, len(slots)):
         s = slots[i]
         if s.start + EPS >= prev_finish:
             break
         delta = prev_finish - s.start
-        slack = deferrable_time(state, link.lid, s, comm)
+        slack = deferrable_time(state, lid, s, comm)
         if delta > slack + EPS:
             raise SchedulingError(
-                f"deferral cascade pushed edge {s.edge} on link {link.lid} by "
+                f"deferral cascade pushed edge {s.edge} on link {lid} by "
                 f"{delta:.12g} but its causality slack is only {slack:.12g}"
             )
         moved = s.shifted(delta)
@@ -244,137 +249,19 @@ def commit_optimal(
         prev_finish = moved.finish
         stop = i + 1
         if observing:
-            OBS.metrics.counter("optimal.deferrals").inc()
             OBS.metrics.histogram("optimal.deferral_amount").observe(delta)
             OBS.emit(
                 "slot_deferred",
                 t=moved.start,
-                lid=link.lid,
+                lid=lid,
                 edge=list(s.edge),
                 for_edge=list(edge),
                 delta=delta,
                 slack=slack,
             )
-    state.replace_range(link.lid, placement.index, stop, moved_run)
-
-
-def _schedule_edge_optimal_fast(
-    state: LinkScheduleState,
-    edge: EdgeKey,
-    route: Route,
-    cost: float,
-    ready_time: float,
-    comm: CommModel,
-) -> float:
-    """Obs-off booking loop: :func:`probe_optimal` + :func:`commit_optimal`
-    fused per link.
-
-    Bit-identical to the probe/commit pair — the scan (with the same stop
-    test) and cascade arithmetic are copied verbatim (including error
-    messages); only the per-link function calls, the
-    :class:`OptimalPlacement` allocations (whose ``overflow`` field the
-    commit never reads), and the observability hooks are dropped.
-    """
-    if cost < 0:
-        raise SchedulingError(f"negative communication cost {cost}")
-    hop = comm.hop_delay
-    cut_through = comm.mode == "cut-through"
-    queues = state._queues
-    next_link_map = state._next_link
-    est = ready_time
-    min_finish = 0.0
-    finish = ready_time
-    for link in route:
-        lid = link.lid
-        duration = cost / link.speed
-        queue = queues.get(lid)
-        if queue is None:
-            slots: list[TimeSlot] = []
-            starts: list[float] = []
-            finishes: list[float] = []
-        else:
-            slots, starts, finishes = queue.slots, queue.starts, queue.finishes
-        n = len(slots)
-        floor = min_finish - duration
-        lo = est if est >= floor else floor
-        tail_prev = finishes[-1] if n else 0.0
-        start = tail_prev if tail_prev > lo else lo
-        best_index = n
-        best_start = start
-        best_finish = start + duration
-        stop_below = _stop_threshold(lo + duration, n)
-        # -- probe scan (see probe_optimal) --
-        accum = 0.0
-        for i in range(n - 1, -1, -1):
-            slot_start = starts[i]
-            gap_after = (starts[i + 1] - finishes[i]) if i + 1 < n else math.inf
-            room = accum + gap_after
-            if room == 0.0:  # repro-lint: disable=FLT001 (mirrors probe_optimal)
-                accum = 0.0
-            else:
-                s = slots[i]
-                try:
-                    next_lid = next_link_map[(s.edge, lid)]
-                except KeyError:
-                    next_lid = state.next_link_of(s.edge, lid)  # raises
-                if next_lid is None:
-                    dt = 0.0
-                else:
-                    try:
-                        nxt = queues[next_lid].by_edge[s.edge]
-                    except KeyError:
-                        nxt = state.slot_of(s.edge, next_lid)  # raises
-                    if cut_through:
-                        dt = min(
-                            nxt.start - hop - s.start,
-                            nxt.finish - hop - s.finish,
-                        )
-                    else:
-                        dt = nxt.start - hop - s.finish
-                    dt = max(0.0, dt)
-                accum = dt if dt < room else room
-            prev_finish = finishes[i - 1] if i > 0 else 0.0
-            start = prev_finish if prev_finish > lo else lo
-            fin = start + duration
-            available = slot_start + accum
-            if fin <= available + EPS:
-                best_index = i
-                best_start = start
-                best_finish = fin
-            elif available + EPS < stop_below:
-                break
-        # -- commit cascade (see commit_optimal) --
-        new_slot = TimeSlot(edge, best_start, best_finish)
-        if best_index == n:
-            state.replace_range(lid, n, n, [new_slot])
-        else:
-            moved_run: list[TimeSlot] = [new_slot]
-            prev_finish = best_finish
-            stop = best_index
-            for j in range(best_index, n):
-                s = slots[j]
-                if s.start + EPS >= prev_finish:
-                    break
-                delta = prev_finish - s.start
-                slack = deferrable_time(state, lid, s, comm)
-                if delta > slack + EPS:
-                    raise SchedulingError(
-                        f"deferral cascade pushed edge {s.edge} on link {lid} by "
-                        f"{delta:.12g} but its causality slack is only {slack:.12g}"
-                    )
-                moved = s.shifted(delta)
-                moved_run.append(moved)
-                prev_finish = moved.finish
-                stop = j + 1
-            state.replace_range(lid, best_index, stop, moved_run)
-        finish = best_finish
-        if cut_through:
-            est = best_start + hop
-            min_finish = finish + hop
-        else:
-            est = finish + hop
-            min_finish = 0.0
-    return finish
+    state.replace_range(lid, index, stop, moved_run)
+    if observing and stop > index:
+        OBS.metrics.counter("optimal.deferrals").inc(stop - index)
 
 
 def schedule_edge_optimal(
@@ -394,8 +281,6 @@ def schedule_edge_optimal(
         state.record_route(edge, ())
         return ready_time
     state.record_route(edge, tuple(l.lid for l in route))
-    if not OBS.on:
-        return _schedule_edge_optimal_fast(state, edge, route, cost, ready_time, comm)
     est = ready_time
     min_finish = 0.0
     finish = ready_time
@@ -413,14 +298,15 @@ def schedule_edge_optimal(
         else:
             est = finish + hop
             min_finish = 0.0
-    OBS.metrics.counter("insertion.edges_scheduled").inc()
-    OBS.emit(
-        "edge_scheduled",
-        t=finish,
-        edge=list(edge),
-        policy="optimal",
-        links=[l.lid for l in route],
-        ready=ready_time,
-        arrival=finish,
-    )
+    if OBS.on:
+        OBS.metrics.counter("insertion.edges_scheduled").inc()
+        OBS.emit(
+            "edge_scheduled",
+            t=finish,
+            edge=list(edge),
+            policy="optimal",
+            links=[l.lid for l in route],
+            ready=ready_time,
+            arrival=finish,
+        )
     return finish

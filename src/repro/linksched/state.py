@@ -9,12 +9,7 @@ reverse, so its cost is O(writes made in the transaction) — independent of
 how many slots sit on the touched links — and commit simply drops the log.
 
 Each :class:`_LinkQueue` also keeps parallel ``starts``/``finishes`` arrays
-(for the bisecting gap search in :func:`repro.linksched.slots.find_gap_indexed`)
-and a monotone **version counter**, bumped on every mutation including undo
-replay.  ``(lid, version)`` therefore uniquely identifies queue content for
-the lifetime of the state, which is what makes the routing probe memo in
-:mod:`repro.core.oihsa` / :mod:`repro.core.bbsa` safe: a memo entry keyed by
-``(lid, version, t, cost)`` can never serve a stale answer.
+for the bisecting gap search in :func:`repro.linksched.slots.find_gap_indexed`.
 """
 
 from __future__ import annotations
@@ -32,24 +27,12 @@ class _LinkQueue:
 
     ``starts``/``finishes`` mirror ``slots`` (``starts[i] is slots[i].start``)
     so gap searches bisect plain float arrays instead of walking objects.
-    ``version`` increments on every mutation — including rollback replay —
-    and never repeats, so ``(lid, version)`` keys probe memos safely.
     """
 
     slots: list[TimeSlot] = field(default_factory=list)
     by_edge: dict[EdgeKey, TimeSlot] = field(default_factory=dict)
     starts: list[float] = field(default_factory=list)
     finishes: list[float] = field(default_factory=list)
-    version: int = 0
-
-    def copy(self) -> "_LinkQueue":
-        return _LinkQueue(
-            list(self.slots),
-            dict(self.by_edge),
-            list(self.starts),
-            list(self.finishes),
-            self.version,
-        )
 
 
 #: shared empty view for links that were never booked
@@ -105,7 +88,6 @@ class LinkScheduleState:
                 del queue.starts[index]
                 del queue.finishes[index]
                 del queue.by_edge[slot.edge]
-                queue.version += 1
             elif tag == _OP_RANGE:
                 _, lid, start, stop, old = entry
                 queue = queues[lid]
@@ -116,7 +98,6 @@ class LinkScheduleState:
                 queue.slots[start:stop] = old
                 queue.starts[start:stop] = [s.start for s in old]
                 queue.finishes[start:stop] = [s.finish for s in old]
-                queue.version += 1
             else:  # _OP_ROUTE
                 _, edge, route = entry
                 del self._routes[edge]
@@ -148,11 +129,6 @@ class LinkScheduleState:
         if queue is None:
             return _EMPTY_ARRAYS
         return queue.slots, queue.starts, queue.finishes
-
-    def version(self, lid: LinkId) -> int:
-        """Monotone mutation counter of the link's queue (0 if never booked)."""
-        queue = self._queues.get(lid)
-        return queue.version if queue is not None else 0
 
     def find_gap(
         self, lid: LinkId, duration: float, est: float, min_finish: float = 0.0
@@ -234,7 +210,6 @@ class LinkScheduleState:
         queue.starts.insert(index, slot.start)
         queue.finishes.insert(index, slot.finish)
         queue.by_edge[slot.edge] = slot
-        queue.version += 1
         if self._undo is not None:
             self._undo.append((_OP_INSERT, lid, index))
 
@@ -265,7 +240,6 @@ class LinkScheduleState:
             slots.append(s)
             queue.starts.append(s.start)
             queue.finishes.append(s.finish)
-            queue.version += 1
             if self._undo is not None:
                 self._undo.append((_OP_RANGE, lid, k, k + 1, []))
             return
@@ -283,6 +257,5 @@ class LinkScheduleState:
         slots[start:stop] = new
         queue.starts[start:stop] = [s.start for s in new]
         queue.finishes[start:stop] = [s.finish for s in new]
-        queue.version += 1
         if self._undo is not None:
             self._undo.append((_OP_RANGE, lid, start, start + len(new), old))

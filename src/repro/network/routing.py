@@ -8,6 +8,8 @@ Two routing policies, matching the paper:
   relaxing a link asks a caller-supplied probe "when would this communication
   finish on this link, given the current link schedules, if it becomes
   available at time t?".  The route therefore adapts to live contention.
+  OIHSA and BBSA run this search with their probe inlined; all three
+  searches end in :func:`_settle_route`.
 
 Both tie-break deterministically (lowest link id wins) so schedules are
 reproducible.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from math import inf
 from typing import Callable, Protocol
 
 from repro.exceptions import RoutingError
@@ -132,9 +135,59 @@ def bfs_route(net: NetworkTopology, src: VertexId, dst: VertexId) -> Route:
     return route
 
 
-#: label used for unlabeled vertices; module-level so identity comparison
-#: distinguishes "never labeled" without allocating per relaxation
-_UNLABELED: tuple[float, int] = (float("inf"), 0)
+def _settle_route(
+    net: NetworkTopology,
+    src: VertexId,
+    dst: VertexId,
+    parent_v: list[VertexId],
+    parent_l: list[Link | None],
+    arrival: float,
+    relaxations: int,
+    cutoffs: int,
+    probe_counter: str | None = None,
+) -> Route:
+    """Finish a Dijkstra search: walk the parent arrays back from ``dst``.
+
+    Shared by :func:`dijkstra_route` and the schedulers' inlined searches
+    (:func:`repro.core.oihsa._dijkstra_indexed`,
+    :func:`repro.core.bbsa._dijkstra_fluid`), which count their work in local
+    ints.  Raises the no-route error when ``dst`` was never labeled.  With
+    observability on it flushes the counts once per route: the routing
+    counters, the route-length histogram, one ``route_probed`` event, and
+    ``probe_counter`` (the searches' per-relaxation probe counter) by
+    ``relaxations``.
+    """
+    if parent_l[dst] is None:
+        raise RoutingError(
+            f"no route from processor {src} to {dst} in topology {net.name!r}"
+        )
+    route: Route = []
+    cur = dst
+    while cur != src:
+        route.append(parent_l[cur])
+        cur = parent_v[cur]
+    route.reverse()
+    if OBS.on:
+        metrics = OBS.metrics
+        if probe_counter is not None:
+            metrics.counter(probe_counter).inc(relaxations)
+        metrics.counter("routing.dijkstra_routes").inc()
+        metrics.counter("routing.relaxations").inc(relaxations)
+        if cutoffs:
+            metrics.counter("routing.probe_cutoffs").inc(cutoffs)
+        metrics.histogram("routing.route_length").observe(float(len(route)))
+        OBS.emit(
+            "route_probed",
+            t=arrival,
+            policy="dijkstra",
+            src=src,
+            dst=dst,
+            hops=len(route),
+            relaxations=relaxations,
+            arrival=arrival,
+            links=[l.lid for l in route],
+        )
+    return route
 
 
 def dijkstra_route(
@@ -143,7 +196,6 @@ def dijkstra_route(
     dst: VertexId,
     ready_time: float,
     probe: LinkProbe,
-    lower_bound: LinkProbe | None = None,
 ) -> Route:
     """Contention-aware route: minimize the communication's arrival time.
 
@@ -154,27 +206,16 @@ def dijkstra_route(
     that assumption this is a standard label-setting Dijkstra on arrival
     times.
 
-    ``lower_bound(link, t)``, when given, must return a value ``<=``
-    ``probe(link, t)`` (typically the contention-free ``t + cost / speed``).
-    When even the bound cannot improve the target vertex's current label,
-    the (much more expensive) ``probe`` is skipped.  Because the actual
-    arrival can only be later, the skipped relaxation could never have
-    updated the label — routes are unchanged.  The bound also prunes
-    against the **destination's** current label: an update whose bound is
-    *strictly* above it would give its target a label that pops only after
-    ``dst``, where the search stops, so skipping it changes neither the
-    popped-vertex sequence nor the returned route (ties are never pruned
-    this way — an equal-arrival label with fewer hops can still pop first
-    and matter).  Against an unlabeled target the bound alone can never
-    prune, so it is skipped there — except while observability is on,
-    where the callable is invoked on every relaxation so callers may hang
-    per-relaxation bookkeeping (probe counters) on it.
-
     Equal arrival times are broken toward **fewer hops**: with cut-through
     communication an idle detour often finishes exactly when the direct
     route does, and preferring the short route avoids squandering link
     capacity that later edges will need (the paper's "route paths with
     relatively low network workload").
+
+    OIHSA and BBSA do not call this generic form: they run the same search
+    with their probe inlined and a contention-free lower-bound prune
+    (:func:`repro.core.oihsa._dijkstra_indexed`,
+    :func:`repro.core.bbsa._dijkstra_fluid`).
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -185,7 +226,6 @@ def dijkstra_route(
     # labels, parents, and the done flags live in flat arrays — the relax
     # loop's inner reads are list indexing instead of dict/set lookups.
     n = net.num_vertices
-    inf = _UNLABELED[0]
     dist_t: list[float] = [inf] * n
     dist_h: list[int] = [0] * n
     parent_v: list[VertexId] = [-1] * n
@@ -196,11 +236,7 @@ def dijkstra_route(
     # the deterministic tie-breaks.
     heap: list[tuple[float, int, VertexId]] = [(ready_time, 0, src)]
     relaxations = 0
-    cutoffs = 0
     out_links = net.sorted_out_links
-    obs_on = OBS.on
-    has_bound = lower_bound is not None
-    best_dst = inf
     while heap:
         d, hops, u = heappop(heap)
         if done[u]:
@@ -213,57 +249,20 @@ def dijkstra_route(
             if done[v]:
                 continue
             relaxations += 1
-            cur_t = dist_t[v]
-            if has_bound and (cur_t != inf or best_dst != inf or obs_on):
-                # Tuple-free ``(lower_bound, nh) >= (cur_t, cur_h)``
-                # comparison, plus the strictly-worse-than-destination prune
-                # (see docstring).
-                lb = lower_bound(link, d)
-                if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
-                    cutoffs += 1
-                    continue
             arrival = probe(link, d)
             if arrival < d:
                 raise RoutingError(
                     f"probe on link {link.lid} returned arrival {arrival} earlier "
                     f"than availability {d}"
                 )
+            cur_t = dist_t[v]
             if arrival < cur_t or (arrival == cur_t and nh < dist_h[v]):
                 dist_t[v] = arrival
                 dist_h[v] = nh
                 parent_v[v] = u
                 parent_l[v] = link
                 heappush(heap, (arrival, nh, v))
-                if v == dst:
-                    best_dst = arrival
-    if parent_l[dst] is None:
-        raise RoutingError(
-            f"no route from processor {src} to {dst} in topology {net.name!r}"
-        )
-    route: Route = []
-    cur = dst
-    while cur != src:
-        route.append(parent_l[cur])
-        cur = parent_v[cur]
-    route.reverse()
-    if OBS.on:
-        OBS.metrics.counter("routing.dijkstra_routes").inc()
-        OBS.metrics.counter("routing.relaxations").inc(relaxations)
-        if cutoffs:
-            OBS.metrics.counter("routing.probe_cutoffs").inc(cutoffs)
-        OBS.metrics.histogram("routing.route_length").observe(float(len(route)))
-        OBS.emit(
-            "route_probed",
-            t=dist_t[dst],
-            policy="dijkstra",
-            src=src,
-            dst=dst,
-            hops=len(route),
-            relaxations=relaxations,
-            arrival=dist_t[dst],
-            links=[l.lid for l in route],
-        )
-    return route
+    return _settle_route(net, src, dst, parent_v, parent_l, dist_t[dst], relaxations, 0)
 
 
 # ---------------------------------------------------------------------------

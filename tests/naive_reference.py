@@ -26,10 +26,14 @@ clarity over speed — and must not be "optimized": it *is* the oracle.
 ``NaiveLinkScheduleState`` mirrors :class:`repro.linksched.state
 .LinkScheduleState`'s full surface (including the ``_queues`` internals the
 hot paths read), so it can be monkeypatched into any scheduler as a drop-in
-replacement.  Its queues still expose ``starts``/``finishes``/``version``,
-but maintained naively: the arrays are rebuilt from scratch on every write
-and versions come from a state-wide clock (monotone even across rollback,
-which restores pre-transaction queue objects).
+replacement.  Its queues still expose ``starts``/``finishes``, but
+maintained naively: the arrays are rebuilt from scratch on every write.
+
+OIHSA's and BBSA's routing searches (``_dijkstra_indexed``,
+``_dijkstra_fluid``) inline their probes and prune relaxations by a
+contention-free lower bound.  ``naive_dijkstra_indexed`` and
+``naive_dijkstra_fluid`` take the same arguments and run the unpruned
+``naive_dijkstra_route`` with the linear probes instead.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ __all__ = [
     "naive_bfs_route",
     "naive_commit_optimal",
     "naive_cumulative_value",
+    "naive_dijkstra_fluid",
+    "naive_dijkstra_indexed",
     "naive_dijkstra_route",
     "naive_forward_through_link",
     "naive_probe_optimal",
@@ -117,14 +123,9 @@ def naive_dijkstra_route(
     dst: VertexId,
     ready_time: float,
     probe: LinkProbe,
-    lower_bound: LinkProbe | None = None,
 ) -> Route:
-    """The seed's Dijkstra: every relaxation calls ``probe``, no cutoffs.
-
-    ``lower_bound`` is accepted for signature compatibility but ignored —
-    the reference never prunes, which is exactly what makes it an oracle
-    for the pruned search.
-    """
+    """The seed's Dijkstra: every relaxation calls ``probe``, no cutoffs —
+    which is what makes it an oracle for the pruned searches."""
     _check_endpoints(net, src, dst)
     if src == dst:
         return []
@@ -175,6 +176,57 @@ def naive_dijkstra_route(
     return route
 
 
+def naive_dijkstra_indexed(
+    net: NetworkTopology,
+    src: VertexId,
+    dst: VertexId,
+    ready_time: float,
+    cost: float,
+    queues: dict,
+) -> Route:
+    """OIHSA's routing search the seed way: :func:`naive_dijkstra_route`
+    driven by the linear gap probe, ticking ``insertion.probes`` once per
+    relaxation.  Drop-in for ``repro.core.oihsa._dijkstra_indexed``."""
+
+    def probe(link: Link, t: float) -> float:
+        if OBS.on:
+            OBS.metrics.counter("insertion.probes").inc()
+        queue = queues.get(link.lid)
+        _, _, finish = linear_find_gap(
+            queue.slots if queue is not None else [], cost / link.speed, t
+        )
+        return finish
+
+    return naive_dijkstra_route(net, src, dst, ready_time, probe)
+
+
+def naive_dijkstra_fluid(
+    net: NetworkTopology,
+    src: VertexId,
+    dst: VertexId,
+    ready_time: float,
+    cost: float,
+    profiles: dict,
+    tiny: bool,
+) -> Route:
+    """BBSA's routing search the seed way: :func:`naive_dijkstra_route`
+    driven by :func:`naive_probe_step_finish`, ticking ``bandwidth.probes``
+    once per relaxation.  Drop-in for ``repro.core.bbsa._dijkstra_fluid``;
+    ``tiny`` is recomputed from ``cost`` rather than trusted."""
+
+    def probe(link: Link, t: float) -> float:
+        if OBS.on:
+            OBS.metrics.counter("bandwidth.probes").inc()
+        if cost <= _FEPS:
+            return t
+        prof = profiles.get(link.lid)
+        return naive_probe_step_finish(
+            prof.segments if prof is not None else [], t, cost, link.speed
+        )
+
+    return naive_dijkstra_route(net, src, dst, ready_time, probe)
+
+
 # ---------------------------------------------------------------------------
 # Link-schedule state: the seed's copy-on-write transaction scheme.
 # ---------------------------------------------------------------------------
@@ -183,26 +235,24 @@ def naive_dijkstra_route(
 class _NaiveQueue:
     """One link's bookings with the derived arrays rebuilt on every write."""
 
-    __slots__ = ("slots", "by_edge", "starts", "finishes", "version")
+    __slots__ = ("slots", "by_edge", "starts", "finishes")
 
     def __init__(
         self,
         slots: list[TimeSlot] | None = None,
         by_edge: dict[EdgeKey, TimeSlot] | None = None,
-        version: int = 0,
     ) -> None:
         self.slots = slots if slots is not None else []
         self.by_edge = by_edge if by_edge is not None else {}
         self.starts: list[float] = [s.start for s in self.slots]
         self.finishes: list[float] = [s.finish for s in self.slots]
-        self.version = version
 
     def rebuild(self) -> None:
         self.starts = [s.start for s in self.slots]
         self.finishes = [s.finish for s in self.slots]
 
     def copy(self) -> "_NaiveQueue":
-        return _NaiveQueue(list(self.slots), dict(self.by_edge), self.version)
+        return _NaiveQueue(list(self.slots), dict(self.by_edge))
 
 
 _EMPTY_ARRAYS: tuple[list[TimeSlot], list[float], list[float]] = ([], [], [])
@@ -213,8 +263,6 @@ class NaiveLinkScheduleState:
 
     Rollback restores the stashed originals — O(links touched) with a full
     queue copy per touched link, which is what the undo log replaced.
-    Versions are drawn from a state-wide clock so ``(lid, version)`` never
-    repeats even though rollback swaps queue objects back in.
     """
 
     def __init__(self) -> None:
@@ -226,7 +274,6 @@ class NaiveLinkScheduleState:
         self._next_link: dict[tuple[EdgeKey, LinkId], LinkId | None] = {}
         self._txn_queues: dict[LinkId, _NaiveQueue] | None = None
         self._txn_routes: list[EdgeKey] | None = None
-        self._vclock = 0
 
     # -- transactions --------------------------------------------------------
 
@@ -250,8 +297,6 @@ class NaiveLinkScheduleState:
         if self._txn_queues is None or self._txn_routes is None:
             raise SchedulingError("no open link-schedule transaction")
         for lid, original in self._txn_queues.items():
-            self._vclock += 1
-            original.version = self._vclock
             self._queues[lid] = original
         for edge in self._txn_routes:
             del self._routes[edge]
@@ -286,10 +331,6 @@ class NaiveLinkScheduleState:
         if queue is None:
             return _EMPTY_ARRAYS
         return queue.slots, queue.starts, queue.finishes
-
-    def version(self, lid: LinkId) -> int:
-        queue = self._queues.get(lid)
-        return queue.version if queue is not None else 0
 
     def find_gap(
         self, lid: LinkId, duration: float, est: float, min_finish: float = 0.0
@@ -349,8 +390,6 @@ class NaiveLinkScheduleState:
         insert_slot(queue.slots, index, slot)
         queue.by_edge[slot.edge] = slot
         queue.rebuild()
-        self._vclock += 1
-        queue.version = self._vclock
 
     def replace_range(
         self, lid: LinkId, start: int, stop: int, new: list[TimeSlot]
@@ -369,8 +408,6 @@ class NaiveLinkScheduleState:
             queue.by_edge[s.edge] = s
         queue.slots[start:stop] = new
         queue.rebuild()
-        self._vclock += 1
-        queue.version = self._vclock
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Differential suite for OIHSA's bounded optimal-insertion scan.
 
-``probe_optimal`` and the fused obs-off booking loop stop their tail-to-head
-walk at the first slot whose availability (``t_s + accum``, formula (2))
-lies below the earliest finish any gap can give, and the commit rewrites
+``probe_optimal`` stops its tail-to-head walk at the first slot whose
+availability (``t_s + accum``, formula (2)) lies below the earliest finish
+any gap can give, and the commit rewrites
 only the slots the deferral cascade moved.  These tests hold both to exact
 (``==``) equality with the full scan and whole-suffix commit kept in
 :mod:`tests.naive_reference`:
@@ -11,10 +11,10 @@ only the slots the deferral cascade moved.  These tests hold both to exact
    start, finish and overflow, on queues built by real multi-hop bookings
    and on hand-laid queues whose gaps, lengths, overlaps and deferral
    slacks sit on the scale of ``EPS``;
-2. whole bookings — the fused loop (obs off) and probe + commit (obs on) vs
-   ``naive_schedule_edge_optimal``: arrivals and every link's slot list,
-   for the generated plans and for one more edge booked from each link at
-   each query ``est``.
+2. whole bookings — ``schedule_edge_optimal`` (probe + commit per link,
+   obs off and on) vs ``naive_schedule_edge_optimal``: arrivals and every
+   link's slot list, for the generated plans and for one more edge booked
+   from each link at each query ``est``.
 
 Queries cover ``est`` before the head and past every slot, ``est`` a few
 ``EPS`` around a slot's start (the feasibility test's tolerance), positive
@@ -54,7 +54,7 @@ _PROCS = [sorted(v.vid for v in net.processors()) for net in _NETS]
 
 def _routes_from_each_link(net_idx: int) -> dict:
     """For every link on some processor-to-processor route, the longest
-    route tail that starts with it (a path the fused loop can book)."""
+    route tail that starts with it (a path a booking can start with)."""
     procs = _PROCS[net_idx]
     tails: dict = {}
     for src in procs:
@@ -230,7 +230,7 @@ class TestProbeMatchesFullScan:
         for est in _query_points(state, 0, cost / speed, offset):
             min_finish = 0.0 if min_finish_pad is None else est + min_finish_pad
             _probe_both(state, link, cost, est, min_finish, comm)
-            # The fused loop's scan, through a one-link booking.
+            # The same scan, through a one-link booking and its commit.
             assert _book_and_undo(state, schedule_edge_optimal, link, cost, est, comm) == (
                 _book_and_undo(state, naive_schedule_edge_optimal, link, cost, est, comm)
             )
@@ -297,9 +297,9 @@ class TestBookingMatchesFullScan:
         expected = _book_all(naive, naive_schedule_edge_optimal, net_idx, plan, offset, comm)
 
         obs.disable()
-        fused = LinkScheduleState()
-        assert _book_all(fused, schedule_edge_optimal, net_idx, plan, offset, comm) == expected
-        assert _queues(fused) == _queues(naive)
+        quiet = LinkScheduleState()
+        assert _book_all(quiet, schedule_edge_optimal, net_idx, plan, offset, comm) == expected
+        assert _queues(quiet) == _queues(naive)
 
         obs.enable(obs.NullSink())
         try:
@@ -311,7 +311,7 @@ class TestBookingMatchesFullScan:
         finally:
             obs.disable()
         assert _queues(instrumented) == _queues(naive)
-        for state in (fused, instrumented):
+        for state in (quiet, instrumented):
             for lid in state.used_links():
                 slots, starts, finishes = state.queue_arrays(lid)
                 assert starts == [s.start for s in slots]
@@ -331,23 +331,23 @@ class TestBookingMatchesFullScan:
         """One more edge booked from each link at each ``est`` of interest,
         under a transaction rolled back after the comparison."""
         obs.disable()
-        fused = LinkScheduleState()
+        quiet = LinkScheduleState()
         naive = LinkScheduleState()
-        _book_all(fused, schedule_edge_optimal, net_idx, plan, offset, comm)
+        _book_all(quiet, schedule_edge_optimal, net_idx, plan, offset, comm)
         _book_all(naive, naive_schedule_edge_optimal, net_idx, plan, offset, comm)
         edge = (-1, -1)
-        for lid in fused.used_links():
+        for lid in quiet.used_links():
             route = _TAILS[net_idx][lid]
-            for est in _query_points(fused, lid, cost / route[0].speed, offset):
-                fused.begin()
+            for est in _query_points(quiet, lid, cost / route[0].speed, offset):
+                quiet.begin()
                 naive.begin()
                 try:
                     assert schedule_edge_optimal(
-                        fused, edge, route, cost, est, comm
+                        quiet, edge, route, cost, est, comm
                     ) == naive_schedule_edge_optimal(naive, edge, route, cost, est, comm)
-                    assert _queues(fused) == _queues(naive)
+                    assert _queues(quiet) == _queues(naive)
                 finally:
-                    fused.rollback()
+                    quiet.rollback()
                     naive.rollback()
 
 
