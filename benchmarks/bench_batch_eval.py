@@ -23,13 +23,6 @@ gates on the checksum.  The speedup floor asserted below is deliberately
 far under the locally measured ratio — CI runners are noisy, and the floor
 only exists to catch the kernel silently degenerating to per-candidate
 full work.
-
-Both timed series pin ``kernel="python"`` so the ``algorithms`` section —
-and its makespan checksum — is reproducible on toolchain-free runners.
-When the AOT-built extension is importable, a second test times the same
-population through ``kernel="compiled"`` and records the comparison under
-a separate top-level ``kernels`` key (absent from toolchain-free runs; the
-compiled-kernel CI job gates on it with ``compiled_speedup_floor``).
 """
 
 import hashlib
@@ -52,11 +45,8 @@ POPULATION = 64
 ROUNDS = 5
 #: CI gate: the batch kernel must stay comfortably ahead of full re-simulation
 SPEEDUP_FLOOR = 1.2
-#: CI gate (compiled job only): AOT kernel vs pure-Python reference kernel
-COMPILED_SPEEDUP_FLOOR = 3.0
 
 _report: dict[str, dict] = {}
-_kernels: dict[str, dict] = {}
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +75,11 @@ def population(workload):
     return candidates
 
 
-def _time_batch_array(graph, net, candidates, kernel="python") -> tuple[float, list[float]]:
-    # kernel pinned to the pure-Python reference by default so the committed
-    # baseline's timings/checksums do not depend on a C toolchain.
+def _time_batch_array(graph, net, candidates) -> tuple[float, list[float]]:
     best = float("inf")
     scores: list[float] = []
     for _ in range(ROUNDS):
-        evaluator = BatchMappingEvaluator(graph, net, kernel=kernel)
+        evaluator = BatchMappingEvaluator(graph, net)
         t0 = perf_counter()
         scores = evaluator.evaluate_batch(candidates)
         best = min(best, perf_counter() - t0)
@@ -148,36 +136,6 @@ def test_batch_eval_speedup(workload, population):
     }
 
 
-def test_compiled_kernel_speedup(workload, population):
-    """AOT kernel vs reference kernel: bit-identical scores, >=3x faster."""
-    from repro.core.kernelreg import compiled_available
-
-    if not compiled_available():
-        pytest.skip("repro.core._kernel_c extension not built")
-    graph, net = workload.graph, workload.net
-    python_wall, python_scores = _time_batch_array(graph, net, population, kernel="python")
-    compiled_wall, compiled_scores = _time_batch_array(
-        graph, net, population, kernel="compiled"
-    )
-
-    # Bit-identity contract: same IEEE-754 operations in the same order.
-    assert compiled_scores == python_scores
-    assert scores_checksum(compiled_scores) == scores_checksum(python_scores)
-    speedup = python_wall / compiled_wall if compiled_wall else 0.0
-    assert speedup >= COMPILED_SPEEDUP_FLOOR, (
-        f"compiled kernel only {speedup:.2f}x vs pure-Python kernel "
-        f"(floor {COMPILED_SPEEDUP_FLOOR}x)"
-    )
-
-    digest = scores_checksum(compiled_scores)
-    _kernels["python"] = {"wall_s": python_wall, "scores_checksum": digest}
-    _kernels["compiled"] = {
-        "wall_s": compiled_wall,
-        "scores_checksum": digest,
-        "speedup_vs_python": speedup,
-    }
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _write_report():
     """After the module's benchmark, dump the comparison report."""
@@ -192,10 +150,5 @@ def _write_report():
         "rounds": ROUNDS,
         "speedup_floor": SPEEDUP_FLOOR,
     }
-    if _kernels:
-        # Kept outside "algorithms" on purpose: the makespan checksum above
-        # must match on toolchain-free runners that never produce this key.
-        doc["kernels"] = _kernels
-        doc["compiled_speedup_floor"] = COMPILED_SPEEDUP_FLOOR
     out.write_text(json.dumps(doc, indent=1, sort_keys=True))
     print(f"\nwrote batch-eval comparison to {out.resolve()}")

@@ -38,13 +38,9 @@ from repro.experiments.workloads import paper_workload
 
 ALGOS = ("annealing", "genetic")
 
-#: evaluation mode -> scheduler kwargs.  The array mode pins the pure-Python
-#: reference kernel so the committed baseline's timings and makespan
-#: checksum reproduce on toolchain-free runners regardless of whether the
-#: AOT extension happens to be built (makespans are bit-identical either
-#: way; wall time is not).
+#: evaluation mode -> scheduler kwargs.
 MODES = {
-    "array": {"incremental": True, "kernel": "python"},
+    "array": {"incremental": True},
     "full": {"incremental": False},
 }
 
@@ -117,7 +113,7 @@ def test_search_scheduler_runtime(benchmark, workload, algo, mode):
         assert run["counters"].get("mapping.prefix_hits", 0) > 0
         if algo == "genetic":
             assert run["counters"].get("mapping.batch_evaluations", 0) > 0
-        entry.update({**run, "kernel": "python", **_hit_rates(run["counters"])})
+        entry.update({**run, **_hit_rates(run["counters"])})
     else:
         entry[mode] = {"wall_s": run["wall_s"], "makespan": run["makespan"]}
 

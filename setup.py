@@ -1,21 +1,7 @@
 """Legacy setup shim: enables `pip install -e .` on environments whose
 setuptools predates PEP 660 editable wheels (metadata lives in pyproject.toml).
-
-Optional AOT kernel build: set ``REPRO_BUILD_KERNEL=1`` (with the
-``[compiled]`` extra installed — cffi plus a C toolchain) to compile the
-batch-evaluation hot loop during install.  Without the flag, or without a
-toolchain, the install is pure Python and the runtime falls back to the
-reference kernel (see ``repro/core/kernelreg.py``).  The extension can
-also be built after the fact with ``python -m repro.core.kernel_build``.
 """
-
-import os
 
 from setuptools import setup
 
-kwargs = {}
-if os.environ.get("REPRO_BUILD_KERNEL"):
-    kwargs["cffi_modules"] = ["src/repro/core/kernel_build.py:ffibuilder"]
-    kwargs["setup_requires"] = ["cffi>=1.15"]
-
-setup(**kwargs)
+setup()

@@ -156,26 +156,10 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                   "schedulers (annealing, genetic)")
             return 2
         kwargs["incremental"] = False
-    if args.eval_kernel is not None:
-        if not is_search:
-            print("--eval-kernel only applies to the mapping-search "
-                  "schedulers (annealing, genetic)")
-            return 2
-        if args.no_incremental:
-            print("--eval-kernel selects the array evaluator's hot loop; "
-                  "it does not apply to the full re-simulation path")
-            return 2
-        kwargs["kernel"] = args.eval_kernel
     # What actually scores candidates, for --stats / the run ledger.
     backend_used = None
-    kernel_used = None
     if is_search:
-        backend_used = "full"
-        if not args.no_incremental:
-            from repro.core.kernelreg import active_kernel
-
-            backend_used = "array"
-            kernel_used = active_kernel(args.eval_kernel or "auto")
+        backend_used = "full" if args.no_incremental else "array"
     t0 = perf_counter()
     try:
         schedule = SCHEDULERS[args.algorithm](**kwargs).schedule(graph, net)
@@ -191,8 +175,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     print(schedule_report(schedule, gantt=not args.no_gantt))
     if want_stats and backend_used is not None:
         line = f"evaluation backend: {backend_used}"
-        if kernel_used is not None:
-            line += f", kernel: {kernel_used}"
         if stats is not None:
             batches = stats.counter("mapping.batch_evaluations")
             if batches:
@@ -210,7 +192,9 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                 **_workload_fingerprint_doc(args, "schedule"),
                 "incremental": not args.no_incremental,
                 "backend": backend_used,
-                "eval_kernel": kernel_used,
+                # The array evaluator's kernel, kept so ledger fingerprints
+                # match records written when a second kernel existed.
+                "eval_kernel": "python" if backend_used == "array" else None,
             },
             argv=getattr(args, "_argv", []),
             makespans={args.algorithm: schedule.makespan},
@@ -607,6 +591,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.taskgraph.generators import random_layered_dag
     from repro.utils.tables import format_table
 
+    if args.repeat < 1:
+        print(f"--repeat must be at least 1, got {args.repeat}")
+        return 2
     for name in args.algorithms:
         if name not in SCHEDULERS:
             print(f"unknown algorithm {name!r}; known: {sorted(SCHEDULERS)}")
@@ -617,21 +604,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     phases = ("routing", "insertion", "processor_selection", "task_placement")
     rows = []
     for name in args.algorithms:
-        # The mapping searches score candidates with the array evaluator;
-        # report its active kernel so profile rows are attributable.
-        backend = "-"
-        kwargs = {}
-        if name in ("annealing", "genetic"):
-            from repro.core.kernelreg import active_kernel
-
-            kwargs["kernel"] = args.eval_kernel
-            backend = f"array/{active_kernel(args.eval_kernel)}"
+        # The mapping searches score candidates with the array evaluator.
+        backend = "array" if name in ("annealing", "genetic") else "-"
         obs.enable(obs.NullSink())
         obs.reset()
         t0 = perf_counter()
         try:
             for _ in range(args.repeat):
-                schedule = SCHEDULERS[name](**kwargs).schedule(graph, net)
+                schedule = SCHEDULERS[name]().schedule(graph, net)
             wall = perf_counter() - t0
             stats = schedule.stats
         finally:
@@ -792,14 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
         "re-simulation instead of the incremental prefix-reusing evaluator "
         "(annealing/genetic only; results are bit-identical either way)",
     )
-    p.add_argument(
-        "--eval-kernel", choices=("auto", "python", "compiled"), default=None,
-        help="implementation of the array evaluator's scoring hot loop: "
-        "'auto' (default) uses the AOT-compiled extension when built, "
-        "'python' forces the reference loop, 'compiled' requires the "
-        "extension (annealing/genetic only; kernels are bit-identical — "
-        "named --eval-kernel because --kernel selects task-graph kernels)",
-    )
     _add_runlog_arguments(p)
     p.set_defaults(fn=_cmd_schedule)
 
@@ -942,11 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ccr", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeat", type=int, default=1, help="runs to average over")
-    p.add_argument(
-        "--eval-kernel", choices=("auto", "python", "compiled"), default="auto",
-        help="array-evaluator scoring kernel for the mapping-search rows "
-        "(bit-identical; the active kernel shows in the backend column)",
-    )
     p.set_defaults(fn=_cmd_profile)
 
     p = sub.add_parser("ablation", help="run a design-choice ablation")

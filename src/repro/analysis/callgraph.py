@@ -1,9 +1,8 @@
 """Module-local call graph so flow rules can reason across helper boundaries.
 
 The flow rules care about *transitive* properties: a worker entry point is
-only pure if every helper it calls is, and a compilable kernel loop stays
-compilable only if the module-local functions it dispatches into do.  This
-module builds the conservative call graph of one parsed file:
+only pure if every helper it calls is.  This module builds the
+conservative call graph of one parsed file:
 
 - **Nodes** are the module's function definitions, keyed by dotted
   qualname (``run_unit``, ``BatchMappingEvaluator._resimulate``,

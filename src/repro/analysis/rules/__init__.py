@@ -8,8 +8,6 @@ Rule families (ids are ``FAMILY###``):
   wall-clock reads where schedule bytes are decided,
 - ``FLT`` — float discipline: no exact ``==``/``!=`` on float expressions
   outside the audited tolerance helpers,
-- ``KER`` — compilable-kernel subset: the batch-evaluation hot loops stay
-  inside the feature set a tracing compiler can lower,
 - ``OBS`` — obs-off discipline: hot-path emissions behind ``OBS.on``,
 - ``PUR`` — worker purity: ProcessPool entry points stay deterministic
   and picklable,
@@ -26,7 +24,6 @@ from repro.analysis.rules import (  # noqa: F401  (import registers the rules)
     arrays,
     determinism,
     floats,
-    kernel,
     obsguard,
     purity,
     transactions,
@@ -38,7 +35,6 @@ FAMILIES: dict[str, str] = {
     "ARR": "array discipline",
     "DET": "determinism",
     "FLT": "float discipline",
-    "KER": "compilable kernel subset",
     "OBS": "observability guards",
     "PUR": "worker purity",
     "TXN": "transaction safety",

@@ -23,8 +23,7 @@ import ast
 from repro.analysis.engine import LintContext, Rule, register
 
 #: The files holding the array-native hot paths.  ``_kernel.py`` is the
-#: extracted hot loop (the module the optional AOT build compiles) and
-#: ``batch.py`` the driving evaluator.
+#: extracted hot loop and ``batch.py`` the driving evaluator.
 ARRAY_KERNEL_FILES = (
     "repro/core/_kernel.py",
     "repro/core/batch.py",

@@ -1,9 +1,7 @@
 """The batch-evaluation kernel: `_resimulate`'s arithmetic + journal columns.
 
-This module is the **always-importable pure-Python reference** for the hot
-loop that scores mapping candidates in :mod:`repro.core.batch`.  It holds
-exactly the state and arithmetic an ahead-of-time compiler needs to see —
-and nothing else:
+This module holds the hot loop that scores mapping candidates in
+:mod:`repro.core.batch`, and exactly the state that loop needs:
 
 - :class:`ArrayLinkState` / :class:`ArrayProcState` — the flat column
   stores with positional undo journals.
@@ -12,41 +10,32 @@ and nothing else:
   journal rewind, and the fused ``_resimulate`` booking loop (bisect gap
   search, ``cost / speed`` durations, column insert/undo) verbatim.
 
-The same state machine exists as a C translation in ``_kernel.c``, built
-on demand into the optional extension ``repro.core._kernel_c`` (see
-:mod:`repro.core.kernel_build`) and wrapped by
-:mod:`repro.core._kernel_cwrap`.  Both implementations satisfy
-:class:`KernelProtocol`; :mod:`repro.core.kernelreg` picks one.  The
-contract between them is **bit-identity**: the C loop performs the exact
-same IEEE-754 double operations in the same order (CPython floats are C
-doubles), proven score-by-score and slot-by-slot by
+Its contract is **bit-identity** with
+:func:`~repro.core.mapping.simulate_mapping`: the same IEEE-754 double
+operations in the same order, proven score-by-score and slot-by-slot by
 ``tests/test_batch_equivalence.py`` and the ``scores_checksum`` CI gates.
 
-Kernel protocol
----------------
+Kernel interface
+----------------
 
-Construction fixes the static per-candidate facts as flat arrays (CSR
-in-edges, row-major ``exec_flat``); per-processor-pair route plans arrive
+Construction fixes the static per-candidate facts (per-position in-edge
+tuples, row-major ``exec_flat``); per-processor-pair route plans arrive
 later via :meth:`~PyKernel.set_plan` because routes resolve lazily.
 :meth:`~PyKernel.evaluate` returns ``(makespan, divergence, missing_pair)``:
 ``missing_pair >= 0`` means simulation stopped at a pair whose route plan
 is not resolved yet — the kernel has rolled back the partial position, and
 the caller resolves the route and calls ``evaluate`` again (the retry
-resumes from the completed prefix).  KER001-004 / ARR001 lint rules fence
-this module into the compilable subset.
+resumes from the completed prefix).  The ARR001 lint rule keeps
+per-element Python loops off the column arrays.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.exceptions import SchedulingError
 from repro.types import LinkId
-
-#: Identity of this (reference) kernel implementation.
-KERNEL_VARIANT = "python"
-COMPILED = False
 
 #: One link's bookings: parallel ``(starts, finishes)`` float columns,
 #: sorted by start time (the gap search inserts in order).
@@ -153,76 +142,27 @@ class ArrayProcState:
         return max(self.finish)
 
 
-class LinkStateView(Protocol):
-    """Read-only link-column introspection (differential tests)."""
-
-    def columns(self, lid: LinkId) -> LinkColumns: ...
-
-    def booked_links(self) -> list[LinkId]: ...
-
-
-class ProcStateView(Protocol):
-    """Read-only processor-column introspection (differential tests)."""
-
-    @property
-    def finish(self) -> list[float]: ...
-
-    def makespan(self) -> float: ...
-
-
-class KernelProtocol(Protocol):
-    """What :class:`~repro.core.batch.BatchMappingEvaluator` drives."""
-
-    variant: str
-    compiled: bool
-
-    def set_plan(
-        self, pair: int, lids: Sequence[LinkId], speeds: Sequence[float]
-    ) -> None: ...
-
-    def evaluate(self, cand: list[int]) -> tuple[float, int, int]: ...
-
-    @property
-    def link_state(self) -> LinkStateView: ...
-
-    @property
-    def proc_state(self) -> ProcStateView: ...
-
-
 class PyKernel:
-    """Reference (pure-Python) implementation of the kernel protocol.
+    """The kernel object :class:`~repro.core.batch.BatchMappingEvaluator` drives.
 
-    Static facts arrive as flat arrays so every implementation shares one
-    construction signature: ``exec_flat[pos * n_procs + pidx]`` is the
-    precomputed ``weight / speed`` execution time, and the in-edges of
-    order position ``pos`` are ``edge_src/edge_cost[edge_off[pos] :
-    edge_off[pos + 1]]`` (source position, communication cost), sorted by
-    source task id at construction of the evaluator.
+    ``exec_flat[pos * n_procs + pidx]`` is the precomputed ``weight /
+    speed`` execution time, and ``in_edges[pos]`` holds order position
+    ``pos``'s in-edges as ``(source position, communication cost)`` pairs,
+    sorted by source task id at construction of the evaluator.
     """
-
-    variant = KERNEL_VARIANT
-    compiled = COMPILED
 
     def __init__(
         self,
-        n: int,
         n_procs: int,
         exec_flat: list[float],
-        edge_src: list[int],
-        edge_cost: list[float],
-        edge_off: list[int],
+        in_edges: list[tuple[tuple[int, float], ...]],
         cut_through: bool,
         hop: float,
     ) -> None:
+        n = len(in_edges)
         self._n = n
         self._n_procs = n_procs
         self._exec_flat = exec_flat
-        in_edges: list[tuple[tuple[int, float], ...]] = []
-        for pos in range(n):
-            lo, hi = edge_off[pos], edge_off[pos + 1]
-            in_edges.append(
-                tuple((edge_src[k], edge_cost[k]) for k in range(lo, hi))
-            )
         self._in_edges = in_edges
         self._cut_through = cut_through
         self._hop = hop

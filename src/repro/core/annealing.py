@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.ba import BAScheduler
 from repro.core.batch import BatchMappingEvaluator
-from repro.core.kernelreg import KERNEL_CHOICES
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
@@ -54,13 +53,7 @@ class AnnealingScheduler:
         of a full ``simulate_mapping`` per candidate.  Results are
         bit-identical either way (``tests/test_batch_equivalence.py``);
         ``False`` keeps the naive evaluator reachable as the differential
-        reference (and ignores ``kernel``).
-    kernel:
-        Which implementation runs the evaluator's hot loop: ``"auto"``
-        (default: the AOT-compiled extension when built, pure Python
-        otherwise), ``"python"``, or ``"compiled"`` (raise when the
-        extension is absent).  Kernels are bit-identical (see
-        :mod:`repro.core.kernelreg`), so this only changes wall time.
+        reference.
     """
 
     name = "annealing"
@@ -75,16 +68,11 @@ class AnnealingScheduler:
         comm: CommModel = CUT_THROUGH,
         rng: int | np.random.Generator | None = 0,
         incremental: bool = True,
-        kernel: str = "auto",
     ) -> None:
         if iterations < 1:
             raise SchedulingError(f"need at least one iteration, got {iterations}")
         if not 0 < cooling <= 1:
             raise SchedulingError(f"cooling must be in (0, 1], got {cooling}")
-        if kernel not in KERNEL_CHOICES:
-            raise SchedulingError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-            )
         self.iterations = iterations
         self.start_temp_factor = start_temp_factor
         self.cooling = cooling
@@ -92,7 +80,6 @@ class AnnealingScheduler:
         self.comm = comm
         self.rng = rng
         self.incremental = incremental
-        self.kernel = kernel
 
     def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
         validate_graph(graph)
@@ -118,8 +105,7 @@ class AnnealingScheduler:
         evaluate: Callable[[dict[int, int]], float]
         if self.incremental:
             evaluator = BatchMappingEvaluator(
-                graph, net, comm=self.comm, algorithm=self.name,
-                kernel=self.kernel,
+                graph, net, comm=self.comm, algorithm=self.name
             )
             evaluate = evaluator.evaluate
         else:

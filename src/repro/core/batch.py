@@ -8,15 +8,14 @@ two mappings that agree up to their first differing position share a
 bit-identical simulation prefix.  :class:`BatchMappingEvaluator` keeps the
 simulation state of the last candidate live, rewinds it to the divergence
 point and re-simulates only the suffix, on a flat column store driven
-through a swappable **kernel** (:mod:`repro.core._kernel`, selected by
-:mod:`repro.core.kernelreg`):
+through the **kernel** (:mod:`repro.core._kernel`):
 
 - Tasks are **dense order positions**, processors dense indices; a candidate
   is a flat ``list[int]`` (``cand[pos] = processor index``), so the
   candidate itself is the placement lookup table — no per-candidate dicts.
 - ``weight / speed`` divisions are precomputed per (position, processor)
-  into one flat row-major table; in-edges are CSR ``(source position,
-  cost)`` arrays fixed at construction.
+  into one flat row-major table; in-edges are per-position tuples of
+  ``(source position, cost)`` fixed at construction.
 - Routes resolve once per processor pair into a **route plan** installed
   into the kernel, so the inner loop touches no topology objects.  Plans
   stay lazy: the kernel reports the first unresolved pair it hits, this
@@ -26,9 +25,7 @@ through a swappable **kernel** (:mod:`repro.core._kernel`, selected by
   bit-identity contract) followed by two column inserts and a journal
   append; a rewind pops journal entries.  No ``TimeSlot``, edge index or
   route record is built: the score-only pass never reads them.  The loop
-  itself lives in the kernel: pure Python by default, or the AOT-built C
-  extension when present (``kernel={auto,python,compiled}``; both are
-  bit-identical).
+  itself lives in the kernel.
 
 **Batch semantics.**  :meth:`evaluate_batch` scores N candidates as one
 batch forking from a shared prefix checkpoint.  Because every candidate's
@@ -64,12 +61,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core._kernel import (
-    KernelProtocol,
-    LinkStateView,
-    ProcStateView,
-)
-from repro.core.kernelreg import KernelInfo, resolve_kernel
+from repro.core._kernel import ArrayLinkState, ArrayProcState, PyKernel
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
@@ -94,12 +86,10 @@ class BatchMappingEvaluator:
 
     Construction fixes the graph, network, communication model and task
     order (defaulting to the bottom-level priority list, like
-    ``simulate_mapping``), and resolves the scoring kernel
-    (``kernel={auto,python,compiled}``; see :mod:`repro.core.kernelreg`).
-    :meth:`evaluate` scores one candidate, :meth:`evaluate_batch` a
-    population, :meth:`schedule` materializes the chosen mapping through
-    ``simulate_mapping``.  The evaluator owns live column state shared across
-    calls, so it must not be used concurrently.
+    ``simulate_mapping``).  :meth:`evaluate` scores one candidate,
+    :meth:`evaluate_batch` a population, :meth:`schedule` materializes the
+    chosen mapping through ``simulate_mapping``.  The evaluator owns live
+    column state shared across calls, so it must not be used concurrently.
 
     Per-candidate validation is lazy: a mapping
     that misses a task or maps one to a non-processor raises when first
@@ -114,7 +104,6 @@ class BatchMappingEvaluator:
         order: Sequence[TaskId] | None = None,
         comm: CommModel = CUT_THROUGH,
         algorithm: str = "mapping",
-        kernel: str = "auto",
     ) -> None:
         task_order = list(order) if order is not None else priority_list(graph)
         if sorted(task_order) != sorted(t.tid for t in graph.tasks()):
@@ -136,35 +125,24 @@ class BatchMappingEvaluator:
         pos_of = {tid: i for i, tid in enumerate(task_order)}
         # Static per-position facts.  ``exec_flat[pos * P + pidx]`` keeps
         # ``simulate_mapping``'s ``weight / speed`` division (never rewritten as a
-        # multiplication by the inverse — that rounds differently).  In-edges
-        # are CSR arrays: position ``pos``'s predecessors (sorted by source
-        # task id) live at ``edge_src/edge_cost[edge_off[pos] :
-        # edge_off[pos + 1]]``.
+        # multiplication by the inverse — that rounds differently).
+        # ``in_edges[pos]`` holds position ``pos``'s ``(source position,
+        # cost)`` pairs sorted by source task id: the booking order, which
+        # the bit-identity with ``simulate_mapping`` depends on.
         exec_flat: list[float] = []
-        edge_src: list[int] = []
-        edge_cost: list[float] = []
-        edge_off: list[int] = [0]
+        in_edges: list[tuple[tuple[int, float], ...]] = []
         for tid in task_order:
             weight = graph.task(tid).weight
             exec_flat.extend(weight / p.speed for p in procs)
-            for e in sorted(graph.in_edges(tid), key=lambda e: e.src):
+            edges = sorted(graph.in_edges(tid), key=lambda e: e.src)
+            for e in edges:
                 if e.cost < 0:
                     raise SchedulingError(f"negative communication cost {e.cost}")
-                edge_src.append(pos_of[e.src])
-                edge_cost.append(e.cost)
-            edge_off.append(len(edge_src))
-        factory, info = resolve_kernel(kernel)
-        self.kernel_info: KernelInfo = info
-        #: the active kernel variant ("python" or "compiled"), for
-        #: ``repro profile`` / ``--stats`` / ledger fingerprints
-        self.kernel: str = info.active
-        self._k: KernelProtocol = factory(
-            n,
+            in_edges.append(tuple((pos_of[e.src], e.cost) for e in edges))
+        self._k = PyKernel(
             n_procs,
             exec_flat,
-            edge_src,
-            edge_cost,
-            edge_off,
+            in_edges,
             comm.mode == "cut-through",
             comm.hop_delay,
         )
@@ -301,11 +279,11 @@ class BatchMappingEvaluator:
     # -- introspection (differential tests) ----------------------------------
 
     @property
-    def link_state(self) -> LinkStateView:
+    def link_state(self) -> ArrayLinkState:
         """The live link columns (read-only use: differential tests)."""
         return self._k.link_state
 
     @property
-    def proc_state(self) -> ProcStateView:
+    def proc_state(self) -> ArrayProcState:
         """The live processor column (read-only use: differential tests)."""
         return self._k.proc_state

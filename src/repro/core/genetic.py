@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.ba import BAScheduler
 from repro.core.batch import BatchMappingEvaluator
-from repro.core.kernelreg import KERNEL_CHOICES
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
@@ -42,7 +41,6 @@ class GeneticScheduler:
         comm: CommModel = CUT_THROUGH,
         rng: int | np.random.Generator | None = 0,
         incremental: bool = True,
-        kernel: str = "auto",
     ) -> None:
         if population < 2:
             raise SchedulingError(f"population must be >= 2, got {population}")
@@ -52,10 +50,6 @@ class GeneticScheduler:
             raise SchedulingError(f"mutation rate must be in [0, 1], got {mutation_rate}")
         if not 0 <= elite < population:
             raise SchedulingError(f"elite must be in [0, population), got {elite}")
-        if kernel not in KERNEL_CHOICES:
-            raise SchedulingError(
-                f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-            )
         self.population = population
         self.generations = generations
         self.mutation_rate = mutation_rate
@@ -65,12 +59,9 @@ class GeneticScheduler:
         self.rng = rng
         #: score each generation as one batch with the prefix-reusing
         #: :class:`~repro.core.batch.BatchMappingEvaluator`; ``False`` keeps
-        #: the full-resimulation reference path reachable (and ignores
-        #: ``kernel``).  Scores and schedules are bit-identical either way.
+        #: the full-resimulation reference path reachable.  Scores and
+        #: schedules are bit-identical either way.
         self.incremental = incremental
-        #: evaluator hot-loop implementation (``auto``/``python``/
-        #: ``compiled``); bit-identical by contract, wall-time only
-        self.kernel = kernel
 
     def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
         validate_graph(graph)
@@ -94,8 +85,7 @@ class GeneticScheduler:
         evaluator: BatchMappingEvaluator | None = None
         if self.incremental:
             evaluator = BatchMappingEvaluator(
-                graph, net, comm=self.comm, algorithm=self.name,
-                kernel=self.kernel,
+                graph, net, comm=self.comm, algorithm=self.name
             )
 
         def score_pool(pool: list[np.ndarray]) -> np.ndarray:

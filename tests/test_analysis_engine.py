@@ -121,13 +121,17 @@ class TestSelection:
 
     def test_registry_has_all_families(self):
         ids = {r.rule_id for r in all_rules()}
-        assert {"DET001", "DET002", "DET003", "FLT001", "KER001", "KER002",
-                "KER003", "KER004", "OBS001", "PUR001", "PUR002", "PUR003",
-                "TXN001", "TXN101", "TXN102", "TXN103"} <= ids
+        assert {"DET001", "DET002", "DET003", "FLT001", "OBS001", "PUR001",
+                "PUR002", "PUR003", "TXN001", "TXN101", "TXN102",
+                "TXN103"} <= ids
 
     def test_syntactic_txn_rules_are_retired(self):
         ids = {r.rule_id for r in all_rules()}
         assert "TXN002" not in ids and "TXN003" not in ids
+
+    def test_kernel_subset_rules_are_retired(self):
+        ids = {r.rule_id for r in all_rules()}
+        assert not {"KER001", "KER002", "KER003", "KER004"} & ids
 
     def test_every_rule_documents_itself(self):
         for rule in all_rules():

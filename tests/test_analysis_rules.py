@@ -846,103 +846,6 @@ class TestUnpicklableSubmission:
         )
 
 
-class TestKernelRules:
-    """KER001-004 apply only to hot functions of the kernel files."""
-
-    def test_kwargs_signature_fires(self):
-        found = run_rule(
-            "KER001",
-            """
-            def _resimulate(cand, start, **opts):
-                pass
-            """,
-            path="src/repro/core/batch.py",
-        )
-        assert len(found) == 1
-        assert "**opts" in found[0].message
-
-    def test_call_splat_fires(self):
-        found = run_rule(
-            "KER001",
-            """
-            def restore(self, mark):
-                self.pop(*mark)
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_getattr_fires(self):
-        found = run_rule(
-            "KER002",
-            """
-            def snapshot(self):
-                return len(getattr(self, "journal_index"))
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_nested_lambda_fires(self):
-        found = run_rule(
-            "KER003",
-            """
-            def makespan(self):
-                return max(self.finish, key=lambda f: f)
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_generator_expression_fires(self):
-        found = run_rule(
-            "KER004",
-            """
-            def makespan(self):
-                return max(f for f in self.finish)
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_hot_set_follows_module_local_calls(self):
-        # _route_plan is hot because _resimulate calls it.
-        found = run_rule(
-            "KER004",
-            """
-            class Evaluator:
-                def _route_plan(self, src, dst):
-                    return list(l for l in self.route(src, dst))
-
-                def _resimulate(self, cand, start):
-                    self._route_plan(0, 1)
-            """,
-            path="src/repro/core/batch.py",
-        )
-        assert len(found) == 1
-        assert "_route_plan" in found[0].message
-
-    def test_cold_functions_are_exempt(self):
-        assert not run_rule(
-            "KER004",
-            """
-            def booked_links(self):
-                return sorted(lid for lid in self._columns)
-            """,
-            path=KERNEL,
-        )
-
-    def test_rules_scoped_to_kernel_files(self):
-        assert not run_rule(
-            "KER004",
-            """
-            def makespan(self):
-                return max(f for f in self.finish)
-            """,
-            path=CORE,
-        )
-
-
 BATCH = "src/repro/core/batch.py"
 
 

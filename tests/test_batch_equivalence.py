@@ -25,12 +25,6 @@ inputs:
    schedules (same RNG draws, same trajectory);
 7. validation on broken mappings, and the prefix-reuse / batch /
    identical-skip counters.
-
-The differential classes are parametrized over ``kernel`` — the pure-Python
-reference and, when the AOT extension is built (skipped otherwise), the
-compiled hot loop — so the same Hypothesis inputs that prove the reference
-against the naive simulator also prove the C translation bit-identical to
-the reference.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ from repro.core.annealing import AnnealingScheduler
 from repro.core.batch import BatchMappingEvaluator
 from repro.core.genetic import GeneticScheduler
 from repro.core.mapping import simulate_mapping
-from repro.core.kernelreg import compiled_available
 from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD
 from repro.network.builders import (
@@ -86,21 +79,6 @@ topologies = st.one_of(
 )
 
 comm_models = st.sampled_from([CUT_THROUGH, STORE_AND_FORWARD])
-
-#: kernel axis of the differential classes: always the pure-Python
-#: reference; the AOT-built kernel too when importable (skip, not xfail —
-#: toolchain-free machines are a supported configuration).
-KERNELS = [
-    pytest.param("python", id="pykernel"),
-    pytest.param(
-        "compiled",
-        id="ckernel",
-        marks=pytest.mark.skipif(
-            not compiled_available(),
-            reason="repro.core._kernel_c extension not built",
-        ),
-    ),
-]
 
 #: a candidate stream: the initial assignment plus a walk of edits.
 #: Each step either moves one task ((pos, proc) selectors) or, when the
@@ -164,7 +142,6 @@ def _assert_columns_match_schedule(evaluator, net, ref):
     assert evaluator.proc_state.finish == expected
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestEvaluateDifferential:
     @DIFF
     @given(
@@ -174,11 +151,11 @@ class TestEvaluateDifferential:
         init_sel=st.integers(0, 10**6),
         walk=walks,
     )
-    def test_candidate_stream_three_way(self, kernel, graph, net, comm, init_sel, walk):
-        live = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+    def test_candidate_stream_three_way(self, graph, net, comm, init_sel, walk):
+        live = BatchMappingEvaluator(graph, net, comm=comm)
         for mapping in _mappings_for(graph, net, init_sel, walk):
             expected = simulate_mapping(graph, net, mapping, comm=comm).makespan
-            cold = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+            cold = BatchMappingEvaluator(graph, net, comm=comm)
             assert live.evaluate(mapping) == expected
             assert cold.evaluate(mapping) == expected
 
@@ -191,10 +168,10 @@ class TestEvaluateDifferential:
         walk=walks,
     )
     def test_batch_matches_sequential_naive(
-        self, kernel, graph, net, comm, init_sel, walk
+        self, graph, net, comm, init_sel, walk
     ):
         stream = _mappings_for(graph, net, init_sel, walk)
-        evaluator = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+        evaluator = BatchMappingEvaluator(graph, net, comm=comm)
         scores = evaluator.evaluate_batch(stream)
         expected = [
             simulate_mapping(graph, net, m, comm=comm).makespan for m in stream
@@ -210,11 +187,11 @@ class TestEvaluateDifferential:
         walk=walks,
     )
     def test_columns_match_reference_slots(
-        self, kernel, graph, net, comm, init_sel, walk
+        self, graph, net, comm, init_sel, walk
     ):
         """After a stream, the flat columns equal the reference queues slot by slot."""
         stream = _mappings_for(graph, net, init_sel, walk)
-        evaluator = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+        evaluator = BatchMappingEvaluator(graph, net, comm=comm)
         for mapping in stream:
             evaluator.evaluate(mapping)
         # The columns hold the state of the last *simulated* candidate; a
@@ -233,14 +210,14 @@ class TestEvaluateDifferential:
 
     @WORST
     @given(graph=graphs, net=topologies, comm=comm_models, seed=st.integers(0, 10**6))
-    def test_divergence_at_position_zero(self, kernel, graph, net, comm, seed):
+    def test_divergence_at_position_zero(self, graph, net, comm, seed):
         """Worst case: every candidate invalidates the whole prefix."""
         order = priority_list(graph)
         procs = sorted(p.vid for p in net.processors())
         base = {tid: procs[(seed + i) % len(procs)] for i, tid in enumerate(order)}
         moved = dict(base)
         moved[order[0]] = procs[(procs.index(base[order[0]]) + 1) % len(procs)]
-        evaluator = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+        evaluator = BatchMappingEvaluator(graph, net, comm=comm)
         for mapping in (base, moved, base, moved):
             expected = simulate_mapping(graph, net, mapping, comm=comm).makespan
             assert evaluator.evaluate(mapping) == expected
@@ -254,10 +231,10 @@ class TestEvaluateDifferential:
         walk=walks,
     )
     def test_materialized_schedule_matches_slot_by_slot(
-        self, kernel, graph, net, comm, init_sel, walk
+        self, graph, net, comm, init_sel, walk
     ):
         stream = _mappings_for(graph, net, init_sel, walk)
-        evaluator = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+        evaluator = BatchMappingEvaluator(graph, net, comm=comm)
         evaluator.evaluate_batch(stream)
         final = stream[len(walk) // 2]  # rewind mid-stream, not just the last
         _assert_schedules_equal(
@@ -265,23 +242,22 @@ class TestEvaluateDifferential:
         )
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestSchedulerBackendParity:
     """Array-column scoring vs ``simulate_mapping`` on the object states."""
 
     @SCHED
     @given(graph=graphs, net=topologies, seed=st.integers(0, 500))
-    def test_annealing_array_matches_object(self, kernel, graph, net, seed):
+    def test_annealing_array_matches_object(self, graph, net, seed):
         kwargs = dict(iterations=40, rng=seed)
-        arr = AnnealingScheduler(kernel=kernel, **kwargs).schedule(graph, net)
+        arr = AnnealingScheduler(**kwargs).schedule(graph, net)
         obj = AnnealingScheduler(incremental=False, **kwargs).schedule(graph, net)
         _assert_schedules_equal(arr, obj)
 
     @SCHED
     @given(graph=graphs, net=topologies, seed=st.integers(0, 500))
-    def test_genetic_array_matches_object(self, kernel, graph, net, seed):
+    def test_genetic_array_matches_object(self, graph, net, seed):
         kwargs = dict(population=6, generations=3, rng=seed)
-        arr = GeneticScheduler(kernel=kernel, **kwargs).schedule(graph, net)
+        arr = GeneticScheduler(**kwargs).schedule(graph, net)
         obj = GeneticScheduler(incremental=False, **kwargs).schedule(graph, net)
         _assert_schedules_equal(arr, obj)
 
@@ -390,3 +366,11 @@ class TestValidationAndCounters:
             assert list(OBS.bus.iter_events()) == []
         finally:
             obs.disable()
+
+
+class TestKernelProvenance:
+    def test_provenance_shape(self):
+        from repro.core.kernelreg import kernel_provenance
+
+        assert kernel_provenance("auto") == {"active": "python"}
+        assert kernel_provenance() == kernel_provenance("auto")

@@ -94,25 +94,10 @@ class TestScheduleStats:
         assert "wrote decision-event log" in capsys.readouterr().out
 
 
-class TestEvalKernel:
-    """The ``--eval-kernel`` switch: selection, stats surface, and guards."""
+class TestEvalBackend:
+    """Which evaluator scores mapping-search candidates, as the CLI reports it."""
 
-    def test_python_kernel_shown_in_stats(self, capsys):
-        assert (
-            main(
-                [
-                    "schedule", "--algorithm", "annealing", "--tasks", "8",
-                    "--procs", "4", "--eval-kernel", "python", "--stats",
-                    "--no-gantt",
-                ]
-            )
-            == 0
-        )
-        assert "evaluation backend: array, kernel: python" in capsys.readouterr().out
-
-    def test_auto_resolution_shown_in_stats(self, capsys):
-        from repro.core.kernelreg import active_kernel
-
+    def test_array_backend_shown_in_stats(self, capsys):
         assert (
             main(
                 [
@@ -122,45 +107,43 @@ class TestEvalKernel:
             )
             == 0
         )
-        expected = f"kernel: {active_kernel('auto')}"
-        assert expected in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "evaluation backend: array (batches: " in out
+        assert "kernel:" not in out
 
-    def test_rejected_for_non_search_algorithms(self, capsys):
+    def test_profile_shows_array_backend_column(self, capsys):
         assert (
-            main(
-                [
-                    "schedule", "--algorithm", "oihsa", "--tasks", "8",
-                    "--eval-kernel", "python", "--no-gantt",
-                ]
-            )
-            == 2
-        )
-        assert "mapping-search" in capsys.readouterr().out
-
-    def test_rejected_for_full_resimulation(self, capsys):
-        assert (
-            main(
-                [
-                    "schedule", "--algorithm", "annealing", "--tasks", "8",
-                    "--no-incremental", "--eval-kernel", "python",
-                    "--no-gantt",
-                ]
-            )
-            == 2
-        )
-        assert "full re-simulation" in capsys.readouterr().out
-
-    def test_profile_shows_kernel_in_backend_column(self, capsys):
-        assert (
-            main(
-                [
-                    "profile", "--scale", "smoke", "--algorithms", "annealing",
-                    "--eval-kernel", "python",
-                ]
-            )
+            main(["profile", "--scale", "smoke", "--algorithms", "annealing"])
             == 0
         )
-        assert "array/python" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "array (batch 1)" in out
+        assert "array/" not in out
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # Fingerprints of records written when the evaluator had a
+            # second, compiled kernel and the host ran the Python one.
+            (["--algorithm", "annealing"],
+             "2816d185a40d7f9481670748d35b6c56a96b883400beb2686fdd89ef3b99a66f"),
+            (["--algorithm", "annealing", "--no-incremental"],
+             "eab52311cb91a7bc53f94fca6493b35a004cae022d725e45c63dd4930562a62f"),
+            (["--algorithm", "genetic"],
+             "8a8eae373e47b97f2e679f4252a553e83e679b0edc62eb3968bc27fc9b5fea7f"),
+            (["--algorithm", "oihsa"],
+             "225a7f4da683510f97f633fe9e91a984fa5987e67e22adddea15290f0b41aaae"),
+        ],
+        ids=["array", "full", "genetic", "list-scheduler"],
+    )
+    def test_ledger_fingerprint_unchanged(self, tmp_path, capsys, argv, expected):
+        from repro.obs.runlog import RunLedger
+
+        argv = ["schedule", *argv, "--tasks", "8", "--procs", "4",
+                "--no-gantt", "--runs-dir", str(tmp_path)]
+        assert main(argv) == 0
+        (record,) = RunLedger(tmp_path).records()
+        assert record.fingerprint == expected
 
 
 class TestProfile:
@@ -176,6 +159,13 @@ class TestProfile:
     def test_unknown_algorithm_fails(self, capsys):
         assert main(["profile", "--scale", "smoke", "--algorithms", "nope"]) == 2
         assert "unknown algorithm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("repeat", ["0", "-3"])
+    def test_repeat_below_one_fails(self, capsys, repeat):
+        argv = ["profile", "--scale", "smoke", "--algorithms", "ba",
+                "--repeat", repeat]
+        assert main(argv) == 2
+        assert f"--repeat must be at least 1, got {repeat}" in capsys.readouterr().out
 
     def test_obs_left_disabled(self, capsys):
         from repro import obs
