@@ -32,7 +32,7 @@ from repro.core.validate import validate_schedule
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import paper_workload
 
-SIZES = (100, 200, 400, 800)
+SIZES = (100, 200, 400, 800, 1000)
 #: The fixed instances: size ``n`` uses generator seed ``[PARAMS["seed"], n]``.
 PARAMS = {"ccr": 2.0, "n_procs": 128, "topology": "random_wan", "seed": 7}
 

@@ -34,6 +34,7 @@ import argparse
 import sys
 
 from repro import __version__
+from repro.exceptions import ReproError
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -957,6 +958,18 @@ def main(argv: list[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 0
+    except ReproError as exc:
+        # Bad parameters surface as library errors (a negative CCR, zero
+        # processors, ...): report them like argument errors.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        trace_out = getattr(args, "trace_out", None)
+        if trace_out is None or exc.filename != trace_out:
+            raise
+        print(f"repro: cannot write --trace-out {trace_out}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

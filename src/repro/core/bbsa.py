@@ -46,10 +46,10 @@ def _dijkstra_fluid(
     Relaxing a link runs the fluid step-arrival probe
     (:func:`repro.linksched.bandwidth.probe_step_finish`) over the link's
     bandwidth profile; ``tiny`` volumes (``<= _FEPS``) arrive at once.  Same
-    labels, tie-breaks, lower-bound prunes and local work counts as
-    :func:`repro.core.oihsa._dijkstra_indexed`; ``bandwidth.probes`` ticks
-    once per relaxation when :func:`repro.network.routing._settle_route`
-    flushes.
+    labels, tie-breaks, lower-bound prunes, dead-end skips and local work
+    counts as :func:`repro.core.oihsa._dijkstra_indexed`;
+    ``bandwidth.probes`` ticks once per relaxation when
+    :func:`repro.network.routing._settle_route` flushes.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -65,6 +65,7 @@ def _dijkstra_fluid(
     dist_t[src] = ready_time
     heap: list[tuple[float, int, int]] = [(ready_time, 0, src)]
     out_links = net.sorted_out_links
+    dead = net.dead_ends()
     profiles_get = profiles.get
     best_dst = inf
     relaxations = 0
@@ -78,7 +79,7 @@ def _dijkstra_fluid(
             break
         nh = hops + 1
         for link, v in out_links(u):
-            if done[v]:
+            if done[v] or (dead[v] and v != dst):
                 continue
             relaxations += 1
             cur_t = dist_t[v]

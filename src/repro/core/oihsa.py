@@ -60,7 +60,12 @@ def _dijkstra_indexed(
     update would give its target a label popping only after ``dst``, where
     the search stops, so neither the popped sequence nor the route changes
     (ties are never pruned — an equal-arrival label with fewer hops can
-    still pop first).  Relaxations and these cutoffs are counted in locals;
+    still pop first).  Dead ends other than ``dst``
+    (:meth:`~repro.network.topology.NetworkTopology.dead_ends`, e.g. every
+    processor of a random WAN) are not relaxed at all: their one neighbour
+    is already done when they would pop, so their label relaxes nothing, and
+    dropping it changes neither the pop order of the other vertices nor the
+    route.  Relaxations and these cutoffs are counted in locals;
     ``insertion.probes`` ticks once per relaxation when
     :func:`repro.network.routing._settle_route` flushes.
     """
@@ -78,6 +83,7 @@ def _dijkstra_indexed(
     dist_t[src] = ready_time
     heap: list[tuple[float, int, int]] = [(ready_time, 0, src)]
     out_links = net.sorted_out_links
+    dead = net.dead_ends()
     queues_get = queues.get
     best_dst = inf
     relaxations = 0
@@ -91,7 +97,7 @@ def _dijkstra_indexed(
             break
         nh = hops + 1
         for link, v in out_links(u):
-            if done[v]:
+            if done[v] or (dead[v] and v != dst):
                 continue
             relaxations += 1
             cur_t = dist_t[v]

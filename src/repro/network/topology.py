@@ -114,6 +114,9 @@ class NetworkTopology:
     _route_table: dict[tuple[VertexId, VertexId], Route] | None = field(
         default=None, repr=False
     )
+    #: lazily built per-vertex dead-end flags (see :meth:`dead_ends`); same
+    #: lifetime as ``_sorted_adj``
+    _dead_ends: bytearray | None = field(default=None, repr=False)
     #: optional fabric-aware router (see :class:`MinimalRouter`); detached —
     #: not merely invalidated — by any mutation, because a structural change
     #: voids the regularity assumptions the router's analytic paths rely on
@@ -127,11 +130,13 @@ class NetworkTopology:
         """Drop every route-derived cache after a topology mutation.
 
         This is the single seam all mutators go through: the sorted
-        adjacency, the flat ``(src, dst)`` route table, *and* any attached
-        hierarchical router (whose sharded, lazily materialized tables would
-        otherwise keep serving routes for the pre-mutation structure).
+        adjacency, the dead-end flags, the flat ``(src, dst)`` route table,
+        *and* any attached hierarchical router (whose sharded, lazily
+        materialized tables would otherwise keep serving routes for the
+        pre-mutation structure).
         """
         self._sorted_adj = None
+        self._dead_ends = None
         self._route_table = None
         self._router = None
 
@@ -273,6 +278,31 @@ class NetworkTopology:
             return cache[vid]
         except KeyError:
             raise TopologyError(f"unknown vertex id {vid}") from None
+
+    def dead_ends(self) -> bytearray:
+        """Per-vertex flags, indexed by vertex id: 1 for a *dead end*.
+
+        A dead end has at most one distinct neighbour, counted over both
+        link directions (parallel cables to one switch are one neighbour;
+        a 2-member bus makes both members dead ends, a larger bus none).
+        It cannot be interior to a simple route: it is entered from its one
+        neighbour and could leave only back to it.  The contention-aware
+        route searches therefore never label a dead end other than the
+        destination.  Built once on first use and invalidated by any
+        mutation, like :meth:`sorted_out_links`.
+        """
+        flags = self._dead_ends
+        if flags is None:
+            nbrs: dict[VertexId, set[VertexId]] = {v: set() for v in self._adj}
+            for u, choices in self._adj.items():
+                for _, v in choices:
+                    nbrs[u].add(v)
+                    nbrs[v].add(u)
+            flags = bytearray(len(self._vertices))
+            for v, seen in nbrs.items():
+                flags[v] = len(seen) <= 1
+            self._dead_ends = flags
+        return flags
 
     def route_table(self) -> dict[tuple[VertexId, VertexId], Route]:
         """The shared ``(src, dst) -> Route`` memo for minimal routing.

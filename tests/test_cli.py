@@ -475,3 +475,34 @@ class TestTopoCli:
                      "--topology", "torus", "--no-cache", "--no-runlog",
                      "--jobs", "2"]) == 0
         assert "figure2" in capsys.readouterr().out
+
+
+class TestErrorsAreOneLine:
+    """Library errors and an unopenable ``--trace-out`` exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["profile", "--scale", "smoke", "--algorithms", "ba", "--ccr", "-1"],
+             "repro: target CCR must be non-negative, got -1.0"),
+            (["schedule", "--procs", "0", "--no-gantt", "--no-runlog"],
+             "repro: need at least one processor, got 0"),
+        ],
+    )
+    def test_library_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize("command", ["schedule", "explain"])
+    def test_unopenable_trace_out(self, tmp_path, capsys, command):
+        from repro import obs
+
+        path = tmp_path / "missing" / "x.jsonl"
+        argv = [command, "--tasks", "8", "--procs", "4", "--no-runlog",
+                "--trace-out", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"repro: cannot write --trace-out {path}: "
+                       "No such file or directory\n")
+        assert not obs.is_enabled()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.exceptions import TopologyError
+from repro.network.builders import fat_tree, random_wan, torus2d
+from repro.network.fabrics import leaf_spine
 from repro.network.topology import Link, NetworkTopology, Vertex
 
 
@@ -131,3 +133,88 @@ class TestQueries:
         g = net2.to_networkx()
         assert g.number_of_nodes() == 2
         assert g.number_of_edges() == 2  # one arc per direction
+
+
+class TestDeadEnds:
+    """``dead_ends()``: at most one distinct neighbour over both directions."""
+
+    @staticmethod
+    def _dead(net):
+        return [v.vid for v in net.vertices() if net.dead_ends()[v.vid]]
+
+    def test_star_leaves_are_dead_ends_hub_is_not(self):
+        net = NetworkTopology()
+        hub = net.add_switch()
+        leaves = [net.add_processor() for _ in range(3)]
+        for p in leaves:
+            net.connect(p, hub)
+        assert self._dead(net) == [p.vid for p in leaves]
+        assert len(net.dead_ends()) == net.num_vertices
+
+    def test_parallel_cables_to_one_switch_are_one_neighbour(self):
+        net = NetworkTopology()
+        hub = net.add_switch()
+        p, q = net.add_processor(), net.add_processor()
+        net.connect(p, hub, 1.0)
+        net.connect(p, hub, 2.0)
+        net.connect(q, hub)
+        assert self._dead(net) == [p.vid, q.vid]
+
+    def test_half_duplex_leaf(self):
+        net = NetworkTopology()
+        hub = net.add_switch()
+        p, q = net.add_processor(), net.add_processor()
+        net.connect(p, hub, duplex="half")
+        net.connect(q, hub)
+        assert self._dead(net) == [p.vid, q.vid]
+
+    def test_two_member_bus_makes_both_members_dead_ends(self):
+        net = NetworkTopology()
+        a, b = net.add_processor(), net.add_processor()
+        net.add_bus([a, b])
+        assert self._dead(net) == [a.vid, b.vid]
+
+    def test_three_member_bus_members_are_not_dead_ends(self):
+        net = NetworkTopology()
+        members = [net.add_processor() for _ in range(3)]
+        net.add_bus(members)
+        assert self._dead(net) == []
+
+    def test_isolated_vertex_is_a_dead_end(self):
+        net = NetworkTopology()
+        a = net.add_processor()
+        assert self._dead(net) == [a.vid]
+
+    def test_connect_invalidates(self):
+        net = NetworkTopology()
+        hub = net.add_switch()
+        p, q = net.add_processor(), net.add_processor()
+        net.connect(p, hub)
+        net.connect(q, hub)
+        assert self._dead(net) == [p.vid, q.vid]
+        net.connect(p, q)  # p and q now have two neighbours each
+        assert self._dead(net) == []
+
+    def test_add_processor_invalidates(self):
+        net = NetworkTopology()
+        hub = net.add_switch()
+        p = net.add_processor()
+        net.connect(p, hub)
+        assert self._dead(net) == [hub.vid, p.vid]
+        r = net.add_processor()
+        assert len(net.dead_ends()) == 3
+        assert self._dead(net) == [hub.vid, p.vid, r.vid]
+        net.connect(r, hub)
+        assert self._dead(net) == [p.vid, r.vid]
+
+    def test_paper_and_fabric_topologies(self):
+        for net in (
+            random_wan(40, rng=3),
+            fat_tree(8, procs_per_leaf=4),
+            leaf_spine(3, 2, 4),
+        ):
+            dead = net.dead_ends()
+            assert all(dead[p.vid] for p in net.processors())
+            assert not any(dead[s.vid] for s in net.switches())
+        torus = torus2d(3, 3)
+        assert not any(torus.dead_ends())

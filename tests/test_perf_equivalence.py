@@ -14,7 +14,9 @@ inputs and comparing results exactly:
    slot lists, edge arrivals, and ScheduleStats counters (modulo the
    pruned search's ``routing.probe_cutoffs``), with the naive reference
    monkeypatched in (OIHSA's reference runs the full optimal-insertion scan,
-   so its ``optimal.gap_rejections`` may only be larger),
+   so its ``optimal.gap_rejections`` may only be larger, and the reference
+   searches also relax dead ends, so their ``routing.relaxations``,
+   ``insertion.probes`` and ``bandwidth.probes`` may only be larger),
 4. obs-off runs change nothing observable and leave the metrics registry
    untouched, and obs on runs the same functions the same number of times.
 """
@@ -237,9 +239,18 @@ _CASES = [
     ("packet-ba", {}, {}, [(packetba_mod, "bfs_route", naive_bfs_route)]),
 ]
 
-#: The bounded optimal-insertion scan stops before the head of the queue, so
-#: it examines (and rejects) at most as many gaps as the full reference scan.
-_SCAN_BOUNDED_COUNTERS = ("optimal.gap_rejections",)
+#: Counters the optimized paths may only lower: the bounded optimal-insertion
+#: scan stops before the head of the queue, so it examines (and rejects) at
+#: most as many gaps as the full reference scan; the route searches never
+#: relax a dead end other than the destination (``NetworkTopology
+#: .dead_ends``), so they relax and probe at most as often as the unpruned
+#: reference searches.
+_BOUNDED_COUNTERS = (
+    "optimal.gap_rejections",
+    "routing.relaxations",
+    "insertion.probes",
+    "bandwidth.probes",
+)
 
 
 def _comm_kwargs(name: str, comm) -> dict:
@@ -324,7 +335,7 @@ class TestSchedulerDifferential:
             assert _link_slot_lists(fast) == _link_slot_lists(other)
         counters = _filtered_counters(instrumented.stats)
         expected = _filtered_counters(reference.stats)
-        for key in _SCAN_BOUNDED_COUNTERS:
+        for key in _BOUNDED_COUNTERS:
             assert counters.pop(key, 0) <= expected.pop(key, 0)
         assert counters == expected
 
